@@ -144,8 +144,16 @@ class OracleStore:
     def _append_line(self, entry: Dict[str, Any]) -> None:
         if self.path is None or os.getpid() != self._pid:
             return  # forked children never write the parent's file
+        # Imported here: repro.explore imports the pin checker, which
+        # imports this module.
+        from repro.explore.cache import _ends_mid_line
+
         line = json.dumps(dict(entry, v=STORE_VERSION),
                           separators=(",", ":"), sort_keys=True)
+        # Appending straight after a crash-torn last line would weld
+        # this verdict onto the fragment and lose both on reload.
+        if _ends_mid_line(self.path):
+            line = "\n" + line
         with open(self.path, "a", encoding="utf-8") as handle:
             handle.write(line + "\n")
             if self.sync:

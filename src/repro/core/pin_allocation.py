@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.cdfg.graph import Cdfg, Node
 from repro.core.oracle_store import (INIT_GROUP, INIT_NODE, OracleStore,
@@ -545,9 +545,17 @@ class PinAllocationChecker:
     the way (cuts never remove integer points).  The checker therefore
     memoizes verdicts under a canonical fingerprint of the committed
     set; the list scheduler re-probes equivalent states constantly
-    (priority ties within a step, the same group recurring every L
-    steps, postpone/retry passes), and each hit skips a full
-    cutting-plane probe.
+    (priority ties within a step, postpone/retry passes), and each hit
+    skips a full cutting-plane probe.
+
+    The fingerprint cannot catch the commonest repeat, though: an op
+    refused in group ``k`` is retried in the same group ``L`` steps
+    later, after other ops were committed in between.  Commits only
+    add lower bounds, so such a retry is still infeasible — the
+    checker keeps the (op, group) pairs an *exact* verdict refuted
+    (Gomory, branch & bound, a confirmed warm "no", or a store "no";
+    never the LP rung) and answers them without probing for the rest
+    of the run.
 
     Graceful degradation
     --------------------
@@ -606,6 +614,8 @@ class PinAllocationChecker:
         self._oracle: Dict[Tuple[Tuple[Tuple[str, int], ...], str, int],
                            bool] = {}
         self._fingerprint: Tuple[Tuple[str, int], ...] = ()
+        #: (op, group) pairs proven infeasible by an exact verdict.
+        self._refuted: Set[Tuple[str, int]] = set()
         self._problem: Optional[PinAllocationProblem] = None
         self._solver: Optional[DualAllIntegerSolver] = None
         self._ready = False
@@ -765,17 +775,30 @@ class PinAllocationChecker:
             self.cache_hits += 1
             PERF.inc("pin.cache_hits")
             return cached
+        pair = (node.name, group)
         store_key = (self._sig, self._fingerprint, node.name, group)
         hit = self._store.lookup(store_key, self._budget_vec)
         if hit is not None:
             self.store_hits += 1
             PERF.inc("pin.store_hits")
             self._oracle[key] = hit[0]
+            if not hit[0]:
+                self._refuted.add(pair)
             return hit[0]
+        if pair in self._refuted:
+            # Refuted under a subset of today's committed bounds, so
+            # still infeasible.  Publish it as the probe would have.
+            self.cache_hits += 1
+            PERF.inc("pin.cache_hits")
+            self._oracle[key] = False
+            self._store.record(store_key, self._budget_vec, False)
+            return False
         PERF.inc("pin.cache_misses")
         verdict, exact, witness = self._probe(node, group)
         self._oracle[key] = verdict
         if exact:
+            if not verdict:
+                self._refuted.add(pair)
             self._store.record(store_key, self._budget_vec, verdict,
                                witness=witness)
         return verdict

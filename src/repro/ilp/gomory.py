@@ -22,6 +22,14 @@ and roll back through the undo journal in O(touched) — the old
 ``snapshot()/restore()`` protocol cost O(rows x cols) Fraction copies
 per probe and dominated every scheduling run.  ``snapshot``/``restore``
 remain available for callers that need a detached deep copy.
+
+The scheduler commits almost every bound right after probing it, so a
+feasible probe *parks* its re-optimized tableau instead of rolling it
+back: a :meth:`~DualAllIntegerSolver.commit_lower_bound` of the same
+bound adopts it outright (the re-solve would replay the very same
+deterministic pivots from the very same state), and every other public
+entry point rolls the parked state back first, so callers only ever see
+the rolled-back solver.
 """
 
 from __future__ import annotations
@@ -223,6 +231,9 @@ class DualAllIntegerSolver:
         self._shifts: Dict[int, int] = {}
         self._col_of: Dict[int, int] = {}
         self._shift_log: List[Tuple[int, int]] = []
+        #: ``(undo token, var index, amount)`` of a feasible probe whose
+        #: re-optimized tableau is kept for a matching commit.
+        self._parked: Optional[Tuple[Any, int, int]] = None
         self.cuts_generated = 0
         self.pivots = 0
         self._build()
@@ -258,6 +269,7 @@ class DualAllIntegerSolver:
         if any row left the all-integer fast path (never happens on the
         Gomory path, checked defensively).
         """
+        self._unpark()
         if self._shift_log:
             return None
         tab = self.tableau
@@ -322,6 +334,7 @@ class DualAllIntegerSolver:
         solver._shifts = shifts
         solver._col_of = {var.index: var.index for var in model.vars}
         solver._shift_log = []
+        solver._parked = None
         solver.cuts_generated = 0
         solver.pivots = 0
         solver._initial_rhs = [b for _coeffs, b in rows]
@@ -372,8 +385,16 @@ class DualAllIntegerSolver:
     # -- undo-log backtracking -----------------------------------------
     def _mark(self):
         """Checkpoint of tableau + shifts + counters for :meth:`_undo`."""
+        self._unpark()
         return (self.tableau.mark(), len(self._shift_log),
                 self.cuts_generated, self.pivots)
+
+    def _unpark(self) -> None:
+        """Roll back a parked feasible probe (no-op when none is)."""
+        if self._parked is not None:
+            token = self._parked[0]
+            self._parked = None
+            self._undo(token)
 
     def _undo(self, token) -> None:
         tab_mark, shift_mark, cuts, pivots = token
@@ -391,6 +412,7 @@ class DualAllIntegerSolver:
 
     # -- detached deep-copy snapshots (debugging / external callers) ---
     def snapshot(self) -> Tuple[Tableau, Dict[int, int], int, int]:
+        self._unpark()
         return (self.tableau.copy(), dict(self._shifts),
                 self.cuts_generated, self.pivots)
 
@@ -400,6 +422,7 @@ class DualAllIntegerSolver:
         self.tableau.enable_undo()
         self._shifts = shifts
         self._shift_log = []
+        self._parked = None
         self.cuts_generated = cuts
         self.pivots = pivots
 
@@ -413,6 +436,7 @@ class DualAllIntegerSolver:
         """
         if amount <= 0:
             raise IlpError("amount must be positive")
+        self._unpark()
         col = self._col_of[var.index]
         self.tableau.apply_column_shift(col, amount)
         self._shifts[var.index] += amount
@@ -422,6 +446,7 @@ class DualAllIntegerSolver:
     def reoptimize(self) -> bool:
         """Run the dual all-integer loop; True iff (still) feasible."""
         PERF.inc("gomory.reoptimize_calls")
+        self._unpark()
         tab = self.tableau
         nums = tab._nums
         rhs = tab._rhs_num
@@ -508,7 +533,11 @@ class DualAllIntegerSolver:
             self._undo(token)
 
     def try_lower_bound(self, var: Var, amount: int = 1) -> bool:
-        """Would raising the bound keep the ILP feasible?  (Rolls back.)"""
+        """Would raising the bound keep the ILP feasible?
+
+        Leaves the solver as it was, as seen through every public
+        method (a feasible probe stays parked for a matching commit).
+        """
         return self.probe_lower_bound(var, amount)[0]
 
     def probe_lower_bound(self, var: Var, amount: int = 1
@@ -519,7 +548,10 @@ class DualAllIntegerSolver:
         index to its integral value in the re-optimized solution (or
         ``None`` when infeasible) — the *witness* callers hand to the
         oracle store so "feasible" verdicts transfer to every budget
-        vector the witness still fits.  Rolls back either way.
+        vector the witness still fits.  An infeasible probe rolls back
+        at once; a feasible one parks its re-optimized tableau, which a
+        :meth:`commit_lower_bound` of the same bound adopts and any
+        other public method rolls back first.
         """
         PERF.inc("gomory.probes")
         token = self._mark()
@@ -530,12 +562,15 @@ class DualAllIntegerSolver:
         except (IlpError, BudgetExhausted):
             self._undo(token)
             raise
-        # Keep the re-optimized tableau only if the caller commits.
-        self._undo(token)
+        if feasible:
+            self._parked = (token, var.index, amount)
+        else:
+            self._undo(token)
         return feasible, values
 
     def solution_values(self) -> Optional[Dict[int, int]]:
         """Integral values of the current basic solution, by var index."""
+        self._unpark()
         basic = self.tableau.integral_basic_values()
         if basic is None:  # pragma: no cover - all-integer invariant
             return None
@@ -550,6 +585,14 @@ class DualAllIntegerSolver:
 
     def _commit_lower_bound(self, var: Var, amount: int = 1) -> None:
         PERF.inc("gomory.commits")
+        parked = self._parked
+        if parked is not None and parked[1:] == (var.index, amount):
+            # The parked probe already re-optimized this exact bound
+            # from this exact state; re-solving would replay it pivot
+            # for pivot.
+            self._parked = None
+            self._commit_journal()
+            return
         token = self._mark()
         self.add_lower_bound(var, amount)
         feasible = False

@@ -13,6 +13,7 @@ from repro.check import check_result, run_case
 from repro.check.fuzz import FuzzCase
 from repro.core.flow import synthesize
 from repro.core.interconnect import Bus, Interconnect
+from repro.core.oracle_store import OracleStore
 from repro.designs.random_designs import random_partitioned_design
 from repro.errors import ReproError
 from repro.explore.cache import ResultCache
@@ -241,6 +242,28 @@ def test_put_survives_torn_trailing_line(tmp_path):
     reloaded = ResultCache(path)
     assert "before" in reloaded
     assert "after" in reloaded, "append welded onto the torn line"
+    assert reloaded.corrupt_lines == 1  # only the fragment is lost
+
+
+# ---------------------------------------------------------------------
+# OracleStore had the same weld: record() appended straight after a
+# crash-torn last line, so the reload lost the fresh verdict along
+# with the fragment.
+# ---------------------------------------------------------------------
+def test_oracle_store_survives_torn_trailing_line(tmp_path):
+    path = str(tmp_path / "oracle.jsonl")
+    store = OracleStore(path)
+    first = ("sig", (), "w1", 0)
+    second = ("sig", (("w1", 0),), "w2", 1)
+    store.record(first, (8, 8), True)
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write('{"v": 1, "sig": "torn", "fp":')  # no \n
+    OracleStore(path).record(second, (8, 8), False)
+
+    reloaded = OracleStore(path)
+    assert len(reloaded) == 2, "append welded onto the torn line"
+    assert reloaded.lookup(first, (8, 8)) == (True, "exact")
+    assert reloaded.lookup(second, (8, 8)) == (False, "exact")
     assert reloaded.corrupt_lines == 1  # only the fragment is lost
 
 

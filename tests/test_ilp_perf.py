@@ -1,6 +1,6 @@
 """Properties of the fast ILP kernel: oracle cache, undo log, shadow.
 
-Three guarantees the performance work must not erode:
+The guarantees the performance work must not erode:
 
 1. the memoized feasibility oracle in :class:`PinAllocationChecker`
    returns exactly what a cold, from-scratch solve returns, at every
@@ -8,22 +8,33 @@ Three guarantees the performance work must not erode:
 2. rejected probes roll the solver tableau back to byte-identical
    sparse state (not merely equivalent values);
 3. cross-check mode — every sparse mutation mirrored onto the dense
-   Fraction reference tableau — passes on small models end to end.
+   Fraction reference tableau — passes on small models end to end;
+4. a feasible probe's parked tableau is invisible to every public
+   entry point, and a commit that adopts it ends in the same state as
+   a commit that re-solves;
+5. every "no" the checker gives without probing (fingerprint memo,
+   store, infeasibility memo) agrees with branch & bound.
 """
 
 from fractions import Fraction
 
 import pytest
 
+from repro.check.fuzz import generate_cases
+from repro.core.flow import synthesize
 from repro.core.pin_allocation import PinAllocationChecker
 from repro.designs import (AR_SIMPLE_PINS, ar_simple_design,
                            random_partitioned_design)
 from repro.errors import ReproError
+from repro.explore.worker import resolve_timing
 from repro.ilp import (DualAllIntegerSolver, Model, SolveStatus,
                        cross_check_enabled, lsum, set_cross_check,
                        solve_ilp, solve_lp)
 from repro.modules.library import ar_filter_timing
+from repro.perf import PERF
+from repro.robustness import SolveBudget
 from repro.scheduling.base import Schedule
+from repro.service.catalog import design_space
 
 
 def _packing_model(n_items, caps):
@@ -182,3 +193,168 @@ class TestCrossCheck:
             assert lp.status is SolveStatus.OPTIMAL
             assert lp.objective == Fraction(2)
         self._with_shadow(run)
+
+
+# ---------------------------------------------------------------------
+def _committed_pair(n_items=4, caps=(3, 2)):
+    """Two identically built solvers with one bound already committed."""
+    solvers = []
+    for _ in range(2):
+        m, xs = _packing_model(n_items, list(caps))
+        solver = DualAllIntegerSolver(m)
+        assert solver.reoptimize()
+        solver.commit_lower_bound(xs[0, 0])
+        solvers.append((solver, xs))
+    return solvers
+
+
+def _seen(solver):
+    """Tableau, shifts and counters as the public API reports them."""
+    tableau, shifts, cuts, pivots = solver.snapshot()
+    return _sparse_state(tableau), shifts, cuts, pivots
+
+
+class TestParkedProbe:
+    """A feasible probe parks its tableau; nobody else may see it.
+
+    ``parked`` probes ``v`` first, ``fresh`` never does: every public
+    entry point must behave on ``parked`` exactly as on ``fresh``.
+    """
+
+    def test_other_probe_sees_rolled_back_state(self):
+        (parked, xs), (fresh, _) = _committed_pair()
+        assert parked.try_lower_bound(xs[1, 0])
+        assert parked.probe_lower_bound(xs[2, 1]) \
+            == fresh.probe_lower_bound(xs[2, 1])
+        assert _seen(parked) == _seen(fresh)
+
+    def test_check_feasible_sees_rolled_back_state(self):
+        (parked, xs), (fresh, _) = _committed_pair()
+        assert parked.try_lower_bound(xs[1, 0])
+        assert parked.check_feasible() == fresh.check_feasible()
+        assert _seen(parked) == _seen(fresh)
+
+    def test_snapshot_sees_rolled_back_state(self):
+        (parked, xs), (fresh, _) = _committed_pair()
+        before = _seen(parked)
+        assert parked.try_lower_bound(xs[1, 0])
+        assert _seen(parked) == before == _seen(fresh)
+
+    def test_export_sees_rolled_back_state(self):
+        m, xs = _packing_model(4, [3, 2])
+        parked = DualAllIntegerSolver(m)
+        fresh = DualAllIntegerSolver(_packing_model(4, [3, 2])[0])
+        assert parked.reoptimize() and fresh.reoptimize()
+        assert parked.try_lower_bound(xs[1, 0])
+        warm = parked.export_warm_basis()
+        assert warm is not None, "the parked bound leaked into the export"
+        assert warm.to_dict() == fresh.export_warm_basis().to_dict()
+
+    def test_commit_of_other_bound_sees_rolled_back_state(self):
+        (parked, xs), (fresh, _) = _committed_pair()
+        assert parked.try_lower_bound(xs[1, 0])
+        parked.commit_lower_bound(xs[2, 1])
+        fresh.commit_lower_bound(xs[2, 1])
+        assert _seen(parked) == _seen(fresh)
+        assert not parked.tableau._journal
+
+    def test_commit_of_probed_bound_adopts_parked_tableau(self):
+        (parked, xs), (fresh, _) = _committed_pair(5, (3, 3))
+        assert parked.try_lower_bound(xs[1, 0])
+        before = PERF.snapshot()
+        parked.commit_lower_bound(xs[1, 0])
+        counters = PERF.delta_since(before)["counters"]
+        assert counters.get("tableau.pivots", 0) == 0
+        # The re-solve it skips: commit after a full rollback.
+        fresh.commit_lower_bound(xs[1, 0])
+        assert _seen(parked) == _seen(fresh)
+        assert not parked.tableau._journal
+        assert parked.try_lower_bound(xs[2, 1]) \
+            == fresh.try_lower_bound(xs[2, 1])
+
+    def test_infeasible_probe_is_not_parked(self):
+        (parked, xs), (fresh, _) = _committed_pair(3, (1, 2))
+        assert not parked.try_lower_bound(xs[1, 0])
+        assert parked.tableau._journal == fresh.tableau._journal == []
+        with pytest.raises(ReproError):
+            parked.commit_lower_bound(xs[1, 0])
+        assert _seen(parked) == _seen(fresh)
+
+
+# ---------------------------------------------------------------------
+class TestInfeasibilityMemo:
+    """Refuted (op, group) pairs are answered without re-probing."""
+
+    @staticmethod
+    def _spy_unprobed_refusals(monkeypatch):
+        """Record (checker, committed set, pair) for every "no" given
+        without a probe — the memo's answers among them."""
+        answers = []
+        probed = []
+        check, probe = (PinAllocationChecker.can_schedule,
+                        PinAllocationChecker._probe)
+
+        def spy_probe(self, node, group):
+            probed.append(True)
+            return probe(self, node, group)
+
+        def spy_check(self, node, step, schedule):
+            probed.clear()
+            fixed, checks = dict(self.fixed), self.checks
+            verdict = check(self, node, step, schedule)
+            # A refusal that never reached the pin ILP (the sibling
+            # sharing rule) does not count.
+            if not verdict and not probed and self.checks > checks:
+                answers.append((self, fixed, (node.name, step % self.L)))
+            return verdict
+
+        monkeypatch.setattr(PinAllocationChecker, "_probe", spy_probe)
+        monkeypatch.setattr(PinAllocationChecker, "can_schedule",
+                            spy_check)
+        return answers
+
+    def test_memo_refutations_agree_with_branch_and_bound(
+            self, monkeypatch):
+        answers = self._spy_unprobed_refusals(monkeypatch)
+        timing = ar_filter_timing()
+        # Some stream cases run the cutting planes away; the iteration
+        # caps degrade them (deterministically) instead.
+        budget = SolveBudget(max_gomory_iters=400, max_bnb_nodes=200,
+                             max_lp_solves=400)
+        for case in generate_cases("bench", 60):
+            graph, partitioning = case.build()
+            try:
+                synthesize(graph, partitioning, timing, case.rate,
+                           flow="simple", budget=budget)
+            except ReproError:
+                pass
+        synthesize(ar_simple_design(), AR_SIMPLE_PINS, timing, 2,
+                   flow="simple")
+        checked = set()
+        for checker, fixed, (op, group) in answers:
+            key = (id(checker), tuple(sorted(fixed.items())), op, group)
+            if key in checked:
+                continue
+            checked.add(key)
+            assert not checker.problem.solve_with_fixed(
+                {**fixed, op: group}), (op, group, fixed)
+        assert len(checked) > 10
+
+    def test_no_infeasible_probe_is_repeated(self, monkeypatch):
+        refuted = set()
+        original = PinAllocationChecker._probe
+
+        def spy(self, node, group):
+            answer = original(self, node, group)
+            verdict, exact, _witness = answer
+            if exact and not verdict:
+                key = (id(self), node.name, group)
+                assert key not in refuted, f"re-proved {key[1:]}"
+                refuted.add(key)
+            return answer
+
+        monkeypatch.setattr(PinAllocationChecker, "_probe", spy)
+        space = design_space("ar-stacked-4")
+        synthesize(space.graph, space.partitioning,
+                   resolve_timing(space.timing), 2)
+        assert refuted
