@@ -328,12 +328,13 @@ def bench_warm_neighbors(smoke: bool):
 
 # ---------------------------------------------------------------------
 def bench_schedulers(smoke: bool):
-    """Every registered scheduler backend on two fixed workloads.
+    """Every registered scheduler backend on three fixed workloads.
 
     Drives each backend through the flow it supports — ``ar-general``
-    under connection-first (rate 3), ``ar-stacked-4`` under the
-    Chapter 3 simple flow (rate 2, four AR copies so the pin ILP
-    dominates) — and records solve throughput (points/sec over
+    under connection-first (rate 3) and under schedule-first (rate 4,
+    the Chapter 5 FDS backend), ``ar-stacked-4`` under the Chapter 3
+    simple flow (rate 2, four AR copies so the pin ILP dominates) —
+    and records solve throughput (points/sec over
     ``repeats`` identical solves) plus the quality metrics that
     distinguish backends: schedule latency (pipe length) and total
     pins.  Throughput is wall-based; latency and pins are
@@ -348,6 +349,8 @@ def bench_schedulers(smoke: bool):
     workloads = [
         ("ar-general", ar_general_design(), AR_GENERAL_PINS_UNIDIR,
          "connection-first", 3),
+        ("ar-general-schedule-first", ar_general_design(),
+         AR_GENERAL_PINS_UNIDIR, "schedule-first", 4),
         ("ar-stacked-4", ar_stacked_design(4), ar_stacked_pins(4),
          "simple", 2),
     ]

@@ -9,7 +9,7 @@ timing model.
 
 Data-recursive edges never participate in precedence (ASAP/ALAP); they
 impose the *maximum* time constraint of Section 7.1,
-``t_b - t_a < d*L - (c_b - 1)``, which :func:`compute_time_frames`
+``t_b - t_a < d*L - (c_b - 1)``, which :class:`FrameTightener`
 applies as an iterative tightening over the frames.
 """
 
@@ -245,6 +245,118 @@ class TimeFrames:
         return all(self.alap[n] >= self.asap[n] for n in self.asap)
 
 
+class FrameTightener:
+    """ASAP/ALAP frames tightened by recursive-edge max-time constraints.
+
+    Everything that does not depend on ``fixed`` is computed once at
+    construction: the base ASAP/ALAP frames, the topological order, the
+    forward and backward precedence gaps and the recursive-edge
+    constants.  Each :meth:`frames` call then only clamps the fixed
+    nodes and runs the tightening loop, so a scheduler that re-derives
+    frames after every decision pays for the fixpoint alone.
+
+    With an ``initiation_rate`` ``L``, each recursive edge ``src -> dst``
+    of degree ``d`` (in the dissertation's orientation the edge runs
+    *producer -> consumer*, and the constraint binds the producer
+    ``op_b`` relative to the consumer ``op_a``) contributes
+    ``t_src <= t_dst + d*L - c_src`` where ``c_src`` is the producer's
+    cycle count (Section 7.1).  Without a rate, one precedence pass
+    runs and recursive edges are ignored.
+    """
+
+    def __init__(self, graph: Cdfg, timing: TimingSpec, pipe_length: int,
+                 initiation_rate: Optional[int] = None) -> None:
+        self.asap = asap_schedule(graph, timing)
+        self.alap = alap_schedule(graph, timing, pipe_length)
+        self.initiation_rate = initiation_rate
+        chain = timing.chaining_allowed()
+        order = topological_order(graph)
+        #: (node, [(predecessor, gap), ...]) in topological order.
+        self.forward: List[Tuple[str, List[Tuple[str, int]]]] = [
+            (name, [(edge.src, _min_step_gap(graph.node(edge.src),
+                                             graph.node(name), timing,
+                                             chain))
+                    for edge in graph.in_edges(name)
+                    if not edge.is_recursive()])
+            for name in order]
+        #: (node, [(successor, gap), ...]) in reverse topological order.
+        self.backward: List[Tuple[str, List[Tuple[str, int]]]] = [
+            (name, [(edge.dst, _min_step_gap(graph.node(name),
+                                             graph.node(edge.dst), timing,
+                                             chain))
+                    for edge in graph.out_edges(name)
+                    if not edge.is_recursive()])
+            for name in reversed(order)]
+        #: (producer, consumer, d*L - c_src) per recursive edge.
+        self.recursive: List[Tuple[str, str, int]] = [] \
+            if initiation_rate is None else [
+                (edge.src, edge.dst, edge.degree * initiation_rate
+                 - max(1, timing.cycles(graph.node(edge.src))))
+                for edge in graph.recursive_edges()]
+
+    def frames(self, fixed: Optional[Dict[str, int]] = None) -> TimeFrames:
+        """Frames with ``fixed`` nodes pinned to their steps.
+
+        Each pass can only shrink frames; once any frame empties the
+        design is infeasible at this rate and the loop stops (callers
+        inspect ``frames.feasible()``).
+        """
+        asap = dict(self.asap)
+        alap = dict(self.alap)
+        if fixed:
+            for name, step in fixed.items():
+                asap[name] = max(asap[name], step)
+                alap[name] = min(alap[name], step)
+        frames = TimeFrames(asap, alap)
+        if self.initiation_rate is None:
+            self._precedence(asap, alap)
+            return frames
+        changed = True
+        guard = 0
+        while changed:
+            guard += 1
+            if not frames.feasible():
+                return frames
+            if guard > 10 * (len(asap) + 1):
+                raise SchedulingError("time-frame tightening did not converge")
+            changed = self._precedence(asap, alap)
+            for producer, consumer, slack in self.recursive:
+                # t_producer <= t_consumer + d*L - c_src
+                bound = alap[consumer] + slack
+                if alap[producer] > bound:
+                    alap[producer] = bound
+                    changed = True
+                # t_consumer >= t_producer - d*L + c_src
+                low = asap[producer] - slack
+                if asap[consumer] < low:
+                    asap[consumer] = low
+                    changed = True
+        return frames
+
+    def _precedence(self, asap: Dict[str, int],
+                    alap: Dict[str, int]) -> bool:
+        """One forward+backward pass of step-granular precedence
+        tightening; returns whether anything changed.
+
+        This is conservative (step-level, chaining treated as same-step
+        allowance) -- exact ns feasibility stays with the scheduler.
+        """
+        changed = False
+        for name, preds in self.forward:
+            for src, gap in preds:
+                low = asap[src] + gap
+                if asap[name] < low:
+                    asap[name] = low
+                    changed = True
+        for name, succs in self.backward:
+            for dst, gap in succs:
+                high = alap[dst] - gap
+                if alap[name] > high:
+                    alap[name] = high
+                    changed = True
+        return changed
+
+
 def compute_time_frames(graph: Cdfg,
                         timing: TimingSpec,
                         pipe_length: int,
@@ -252,89 +364,11 @@ def compute_time_frames(graph: Cdfg,
                         fixed: Optional[Dict[str, int]] = None) -> TimeFrames:
     """ASAP/ALAP frames tightened by recursive-edge max-time constraints.
 
-    ``fixed`` pins some nodes to known steps (used by schedulers to
-    propagate partial decisions).  With an ``initiation_rate`` ``L``,
-    each recursive edge ``src -> dst`` of degree ``d`` (value produced by
-    ``src`` consumed by ``dst`` ``d`` instances later... in the
-    dissertation's orientation the edge runs *producer -> consumer*, and
-    the constraint binds the producer ``op_b`` relative to the consumer
-    ``op_a``) contributes ``t_src <= t_dst + d*L - c_src`` where ``c_src``
-    is the producer's cycle count (Section 7.1).
+    A one-shot :class:`FrameTightener`; ``fixed`` pins some nodes to
+    known steps (used by schedulers to propagate partial decisions).
     """
-    asap = dict(asap_schedule(graph, timing))
-    alap = dict(alap_schedule(graph, timing, pipe_length))
-    if fixed:
-        for name, step in fixed.items():
-            asap[name] = max(asap[name], step)
-            alap[name] = min(alap[name], step)
-    frames = TimeFrames(asap, alap)
-    if initiation_rate is None:
-        _propagate_precedence(graph, timing, frames)
-        return frames
-
-    # Iterate precedence + recursive tightening to a fixpoint.  Each
-    # pass can only shrink frames; once any frame empties the design is
-    # infeasible at this rate and we stop (callers inspect
-    # ``frames.feasible()``).
-    changed = True
-    guard = 0
-    while changed:
-        guard += 1
-        if not frames.feasible():
-            return frames
-        if guard > 10 * (len(asap) + 1):
-            raise SchedulingError("time-frame tightening did not converge")
-        changed = _propagate_precedence(graph, timing, frames)
-        for edge in graph.recursive_edges():
-            producer, consumer, d = edge.src, edge.dst, edge.degree
-            c_src = max(1, timing.cycles(graph.node(producer)))
-            # t_producer <= t_consumer + d*L - c_src
-            bound = frames.alap[consumer] + d * initiation_rate - c_src
-            if frames.alap[producer] > bound:
-                frames.alap[producer] = bound
-                changed = True
-            # t_consumer >= t_producer - d*L + c_src
-            low = frames.asap[producer] - d * initiation_rate + c_src
-            if frames.asap[consumer] < low:
-                frames.asap[consumer] = low
-                changed = True
-    return frames
-
-
-def _propagate_precedence(graph: Cdfg, timing: TimingSpec,
-                          frames: TimeFrames) -> bool:
-    """One forward+backward pass of step-granular precedence tightening.
-
-    This is conservative (step-level, chaining treated as same-step
-    allowance) — exact ns feasibility stays with the scheduler.
-    Returns whether anything changed.
-    """
-    changed = False
-    chain = timing.chaining_allowed()
-    order = topological_order(graph)
-    for name in order:
-        node = graph.node(name)
-        for edge in graph.in_edges(name):
-            if edge.is_recursive():
-                continue
-            pred = graph.node(edge.src)
-            gap = _min_step_gap(pred, node, timing, chain)
-            low = frames.asap[edge.src] + gap
-            if frames.asap[name] < low:
-                frames.asap[name] = low
-                changed = True
-    for name in reversed(order):
-        node = graph.node(name)
-        for edge in graph.out_edges(name):
-            if edge.is_recursive():
-                continue
-            succ = graph.node(edge.dst)
-            gap = _min_step_gap(node, succ, timing, chain)
-            high = frames.alap[edge.dst] - gap
-            if frames.alap[name] > high:
-                frames.alap[name] = high
-                changed = True
-    return changed
+    return FrameTightener(graph, timing, pipe_length,
+                          initiation_rate).frames(fixed)
 
 
 def _min_step_gap(pred: Node, succ: Node, timing: TimingSpec,

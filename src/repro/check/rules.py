@@ -15,6 +15,8 @@ Rule catalogue (see DESIGN.md §11 for the full table):
 ``recursion``       data-recursive edges meet the max-time constraint;
 ``chaining``        ops fit their cycle window / boundary starts;
 ``resources``       functional-unit budgets per (chip, type, group);
+``io-minor-clock``  I/O ops start on steps the I/O minor clock allows
+                    (Section 2.2's two-clock scheme);
 ``pin-budget``      port widths fit each chip's total pin budget;
 ``pin-split``       fixed input/output pin splits are respected;
 ``pin-step``        per-chip per-control-step transferred bits fit the
@@ -39,6 +41,7 @@ from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
                     Set, Tuple)
 
 from repro.cdfg.analysis import _EPS
+from repro.cdfg.ops import IO_KINDS
 from repro.check.report import CheckReport, Violation
 from repro.errors import ConnectionError_, ReproError
 from repro.partition.model import OUTSIDE_WORLD
@@ -162,6 +165,23 @@ def _rule_resources(result) -> List[Violation]:
                 f"{step % result.initiation_rate}",
                 op=name, chip=node.partition,
                 group=step % result.initiation_rate))
+    return out
+
+
+def _rule_io_minor_clock(result) -> List[Violation]:
+    schedule = result.schedule
+    allowed = getattr(schedule.timing, "io_step_allowed", None)
+    if allowed is None:
+        return []
+    out = []
+    for name, step in schedule.start_step.items():
+        if result.graph.node(name).kind in IO_KINDS \
+                and not allowed(step):
+            out.append(Violation.at(
+                "io-minor-clock",
+                f"{name!r} starts at step {step}, which the I/O minor "
+                f"clock does not allow",
+                op=name, step=step))
     return out
 
 
@@ -555,6 +575,8 @@ RULES: Tuple[Rule, ...] = (
          _rule_chaining),
     Rule("resources", "functional-unit budgets per chip/type/group",
          _rule_resources),
+    Rule("io-minor-clock", "I/O ops start on minor-clock steps",
+         _rule_io_minor_clock),
     Rule("pin-budget", "port widths fit each chip's total pin budget",
          _rule_pin_budget),
     Rule("pin-split", "fixed input/output pin splits are respected",

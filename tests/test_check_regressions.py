@@ -9,16 +9,19 @@ import threading
 
 import pytest
 
+from repro.cdfg import CdfgBuilder
 from repro.check import check_result, run_case
 from repro.check.fuzz import FuzzCase
 from repro.core.flow import synthesize
 from repro.core.interconnect import Bus, Interconnect
 from repro.core.oracle_store import OracleStore
 from repro.designs.random_designs import random_partitioned_design
-from repro.errors import ReproError
+from repro.errors import ReproError, SchedulingError
 from repro.explore.cache import ResultCache
-from repro.modules.library import ar_filter_timing
+from repro.modules.library import (DesignTiming, HardwareModule, ModuleSet,
+                                   ar_filter_timing)
 from repro.partition.model import ChipSpec, Partitioning
+from repro.scheduling import ForceDirectedScheduler
 from repro.service.client import (MAX_DATE_RETRY_AFTER_S,
                                   parse_retry_after)
 
@@ -302,3 +305,59 @@ def test_read_through_replays_unshipped_puts_on_reconnect():
     finally:
         revived.stop()
         mounted.client.close()
+
+
+# ---------------------------------------------------------------------
+# Bug: ForceDirectedScheduler ignored Section 2.2's two-minor-clock
+# rule (``DesignTiming.io_step_multiple``).  Every step of a transfer's
+# frame was a candidate, so transfers landed on steps the I/O clock
+# never starts on (steps 3 at L=2, pipe 4; steps 1 and 5 elsewhere),
+# while ListScheduler has always gated them.
+# ---------------------------------------------------------------------
+def _minor_clock_timing(add_ns, chaining):
+    return DesignTiming(100.0, default=ModuleSet.of(
+        HardwareModule("adder", "add", add_ns)), io_delay_ns=10.0,
+        chaining=chaining, io_step_multiple=2)
+
+
+def _add_feeding_transfers():
+    b = CdfgBuilder()
+    s = b.op("s", "add", 1)
+    for i in range(4):
+        b.io(f"x{i}", f"v{i}", source=s, dests=[], source_partition=1,
+             dest_partition=2, bit_width=8)
+    return b.build()
+
+
+@pytest.mark.parametrize("rate, pipe", [(2, 4), (2, 6), (4, 6), (4, 8)])
+def test_fds_honors_io_minor_clock(rate, pipe):
+    timing = _minor_clock_timing(90.0, chaining=False)
+    schedule = ForceDirectedScheduler(_add_feeding_transfers(), timing,
+                                      rate, pipe).run()
+    steps = [schedule.step(f"x{i}") for i in range(4)]
+    assert all(timing.io_step_allowed(step) for step in steps), steps
+
+
+def test_fds_rejects_frames_without_a_minor_clock_step():
+    # Pipe length 2 leaves the transfers only step 1, which the I/O
+    # clock never starts on.
+    timing = _minor_clock_timing(90.0, chaining=False)
+    scheduler = ForceDirectedScheduler(_add_feeding_transfers(), timing,
+                                       2, 2)
+    with pytest.raises(SchedulingError, match="minor clock"):
+        scheduler.run()
+
+
+def test_fds_legalizer_refuses_disallowed_io_step():
+    # a1 and a2 fixed in one step cannot chain (60 + 60 ns > 100 ns),
+    # so legalization pushes a2 a step later and the transfer after it
+    # from its allowed step 2 to step 3.
+    b = CdfgBuilder()
+    a1 = b.op("a1", "add", 1)
+    a2 = b.op("a2", "add", 1, inputs=[a1])
+    b.io("x", "v", source=a2, dests=[], source_partition=1,
+         dest_partition=2, bit_width=8)
+    scheduler = ForceDirectedScheduler(
+        b.build(), _minor_clock_timing(60.0, chaining=True), 2, 6)
+    with pytest.raises(SchedulingError, match="minor clock"):
+        scheduler._legalize({"a1": 1, "a2": 1, "x": 2})

@@ -10,6 +10,7 @@ import pytest
 
 from repro import synthesize, synthesize_connection_first
 from repro.check import CheckError, check_result, rule_names
+from repro.cdfg.ops import IO_KINDS
 from repro.check.rules import RULES, enforceable_violations
 from repro.designs import (AR_GENERAL_PINS_UNIDIR, AR_SIMPLE_PINS,
                            ar_general_design, ar_simple_design)
@@ -219,6 +220,28 @@ def test_unknown_rule_raises(result):
         check_result(result, rules=("not-a-rule",))
     with pytest.raises(ReproError):
         check_result(result, disable=("not-a-rule",))
+
+
+def test_io_minor_clock_rule(result):
+    # Re-time the valid result under a two-minor-clock scheme: every
+    # transfer now sitting on an odd step violates it.
+    odd = {name for name, step in result.schedule.start_step.items()
+           if result.graph.node(name).kind in IO_KINDS and step % 2}
+    assert odd
+    assert "io-minor-clock" not in rules_hit(result)
+    result.schedule.timing.io_step_multiple = 2
+    report = check_result(result, rules=["io-minor-clock"])
+    assert {dict(v.where)["op"] for v in report.violations} == odd
+
+
+def test_io_minor_clock_rule_without_gate():
+    # A timing model with no ``io_step_allowed`` allows every step.
+    from types import SimpleNamespace
+    from repro.cdfg.analysis import UnitTiming
+    from repro.check.rules import _rule_io_minor_clock
+    result = SimpleNamespace(schedule=SimpleNamespace(
+        timing=UnitTiming(), start_step={"x": 1}))
+    assert _rule_io_minor_clock(result) == []
 
 
 def test_every_rule_has_description():

@@ -92,3 +92,66 @@ class TestBenchmarks:
         g = ar_general_design()
         s = ForceDirectedScheduler(g, ar_filter_timing(), 3, 8).run()
         assert s.verify() == []
+
+
+def _grid_row(result):
+    """(pipe, pins per chip, adders, multipliers) as Tables 5.1/5.3
+    print them."""
+    adders = sum(n for (_, t), n in result.resources.items() if t == "add")
+    muls = sum(n for (_, t), n in result.resources.items() if t == "mul")
+    return result.pipe_length, result.pins_used(), adders, muls
+
+
+class TestGoldenChoices:
+    """FDS choices pinned to the committed Chapter 5 tables, so a
+    change to the force arithmetic (even the order of its float
+    additions) that flips a tie shows up here."""
+
+    # benchmarks/results/table5.1_fds_grid.txt, rate 4.
+    @pytest.mark.parametrize("budget, pipe, pins, adders, muls", [
+        (6, 6, (136, 120, 64, 80), 6, 9),
+        (7, 7, (100, 84, 64, 72), 4, 6),
+        (8, 8, (88, 80, 64, 48), 4, 7),
+        (9, 8, (96, 80, 56, 80), 5, 8),
+        (10, 10, (92, 68, 56, 64), 6, 6),
+    ])
+    def test_table_5_1_rate_4(self, budget, pipe, pins, adders, muls):
+        from repro import synthesize_schedule_first
+        from repro.designs import AR_GENERAL_PINS_UNIDIR, ar_general_design
+        result = synthesize_schedule_first(
+            ar_general_design(), AR_GENERAL_PINS_UNIDIR,
+            ar_filter_timing(), 4, pipe_length=budget)
+        got_pipe, got_pins, got_adders, got_muls = _grid_row(result)
+        assert (got_pipe, tuple(got_pins[i] for i in range(4)),
+                got_adders, got_muls) == (pipe, pins, adders, muls)
+
+    # benchmarks/results/table5.3_fds_grid.txt, rate 6.
+    @pytest.mark.parametrize("budget, pipe, pins, adders, muls", [
+        (22, 22, 288, 8, 7),
+        (23, 23, 288, 8, 6),
+        (24, 24, 320, 7, 6),
+        (25, 25, 288, 8, 6),
+        (26, 25, 272, 6, 6),
+    ])
+    def test_table_5_3_rate_6(self, budget, pipe, pins, adders, muls):
+        from repro import synthesize_schedule_first
+        from repro.designs import ELLIPTIC_PINS_UNIDIR, elliptic_design
+        result = synthesize_schedule_first(
+            elliptic_design(), ELLIPTIC_PINS_UNIDIR,
+            elliptic_filter_timing(), 6, pipe_length=budget)
+        got_pipe, got_pins, got_adders, got_muls = _grid_row(result)
+        assert (got_pipe, sum(got_pins.values()), got_adders,
+                got_muls) == (pipe, pins, adders, muls)
+
+    def test_rerun_on_one_instance_is_identical(self):
+        # The per-placement memos must be reset, not carried over from
+        # the previous run's last placement.
+        from repro.designs import ar_general_design
+        graph = ar_general_design()
+        scheduler = ForceDirectedScheduler(graph, ar_filter_timing(), 4, 8)
+        first = scheduler.run()
+        second = scheduler.run()
+        fresh = ForceDirectedScheduler(graph, ar_filter_timing(), 4, 8).run()
+        for other in (second, fresh):
+            assert other.start_step == first.start_step
+            assert other.start_ns == first.start_ns

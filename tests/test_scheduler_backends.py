@@ -40,7 +40,7 @@ def _driving_flow(name):
 
 
 def _acceptable(result):
-    """All 14 rules ran; violations only where openly declared."""
+    """Every rule ran; violations only where openly declared."""
     report = check_result(result)
     assert report.rules_run == rule_names()
     if report.ok:
