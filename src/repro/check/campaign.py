@@ -47,6 +47,7 @@ import uuid
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.appendlog import append_line
 from repro.check.faults import (FaultEvent, FaultInjector,
                                 generate_events)
 from repro.check.fuzz import FuzzCase, _shrink_candidates
@@ -613,8 +614,7 @@ def append_campaign_corpus(path: str,
                            result: CampaignCaseResult) -> None:
     entry = {"case": result.case.to_dict(),
              "signature": result.signature()}
-    with open(path, "a", encoding="utf-8") as handle:
-        handle.write(json.dumps(entry, sort_keys=True) + "\n")
+    append_line(path, json.dumps(entry, sort_keys=True))
 
 
 # ---------------------------------------------------------------------

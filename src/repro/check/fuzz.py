@@ -19,6 +19,7 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterator, List, Optional, Tuple
 
+from repro.appendlog import append_line
 from repro.check.oracle import OracleReport, run_differential
 from repro.designs.random_designs import random_partitioned_design
 from repro.errors import ReproError
@@ -261,8 +262,7 @@ def _run_into(report: FuzzReport, case: FuzzCase,
 # ---------------------------------------------------------------------
 def append_corpus(path: str, result: CaseResult) -> None:
     entry = dict(result.case.to_dict(), signature=result.signature())
-    with open(path, "a", encoding="utf-8") as handle:
-        handle.write(json.dumps(entry, sort_keys=True) + "\n")
+    append_line(path, json.dumps(entry, sort_keys=True))
 
 
 def load_corpus(path: str) -> List[FuzzCase]:

@@ -16,7 +16,8 @@ once — fleet-wide:
 * :mod:`repro.cluster.front` — the routing front tier: ring routing
   with drain/death failover, batched admission (same-design requests
   in a short window fold into one sweep per owner shard), and fleet
-  metrics aggregation.
+  metrics aggregation; it is served by the service's own HTTP layer
+  (:class:`repro.service.server.HttpServer`).
 * :mod:`repro.cluster.supervisor` — ``repro cluster --shards N``:
   spawn cache server + shards + front as one supervised tree with a
   graceful SIGTERM drain.
@@ -29,11 +30,11 @@ from repro.cluster.cache_server import (CacheServer,
                                         ThreadedCacheServer,
                                         serve_cache)
 from repro.cluster.front import (ClusterConfig, FrontTier,
-                                 ShardAddress, ShardState)
+                                 ShardAddress, ShardState,
+                                 ThreadedFrontTier)
 from repro.cluster.protocol import (CACHE_PROTOCOL, ProtocolError,
                                     recv_frame, send_frame)
 from repro.cluster.ring import DEFAULT_REPLICAS, HashRing, ring_position
-from repro.cluster.server import FrontServer, ThreadedFrontTier
 from repro.cluster.supervisor import free_port, serve_cluster
 
 __all__ = [
@@ -43,7 +44,6 @@ __all__ = [
     "CacheServer",
     "ClusterConfig",
     "DEFAULT_REPLICAS",
-    "FrontServer",
     "FrontTier",
     "HashRing",
     "ProtocolError",

@@ -27,16 +27,14 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-import signal
-import threading
 from typing import Any, Dict, Optional
 
-from repro.errors import ReproError
 from repro.explore.cache import ResultCache
 from repro.io_json import SCHEMA_VERSION
 from repro.cluster.protocol import (CACHE_PROTOCOL, ProtocolError,
                                     check_frame_version, read_frame,
                                     write_frame)
+from repro.service.server import BackgroundServer, run_until_signal
 
 #: Server-side counters reported by the ``stats`` op.
 SERVER_COUNTERS = ("connections", "gets", "hits", "puts", "stored",
@@ -150,90 +148,37 @@ def serve_cache(path: Optional[str], host: str = "127.0.0.1",
                 port: int = 8769, sync: bool = True) -> int:
     """Blocking entry point for ``repro cache-server``; 0 on drain."""
 
-    async def _main() -> None:
-        cache = ResultCache(path, sync=sync)
-        server = await CacheServer(cache, host, port).start()
-        stop = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        for sig in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(sig, stop.set)
-            except (NotImplementedError, RuntimeError):
-                pass
-        print(f"repro cache server listening on {host}:{server.port} "
-              f"(path={path or 'memory'}, entries={len(cache)})",
-              flush=True)
-        await stop.wait()
-        await server.shutdown()
-        print(f"cache server drained cleanly: entries={len(cache)} "
-              f"gets={server.counters['gets']} "
-              f"hits={server.counters['hits']} "
-              f"stored={server.counters['stored']}", flush=True)
+    async def open_server() -> CacheServer:
+        return await CacheServer(ResultCache(path, sync=sync), host,
+                                 port).start()
 
-    asyncio.run(_main())
+    def report(server: CacheServer) -> str:
+        return (f"cache server drained cleanly: "
+                f"entries={len(server.cache)} "
+                f"gets={server.counters['gets']} "
+                f"hits={server.counters['hits']} "
+                f"stored={server.counters['stored']}")
+
+    run_until_signal(
+        open_server,
+        lambda server: (
+            f"repro cache server listening on {host}:{server.port} "
+            f"(path={path or 'memory'}, entries={len(server.cache)})"),
+        report)
     return 0
 
 
 # ---------------------------------------------------------------------
-class ThreadedCacheServer:
+class ThreadedCacheServer(BackgroundServer):
     """Run a cache server in a daemon thread (tests and benchmarks)."""
 
     def __init__(self, cache: Optional[ResultCache] = None,
                  host: str = "127.0.0.1", port: int = 0) -> None:
         self.cache = cache if cache is not None else ResultCache()
-        self.server = CacheServer(self.cache, host, port)
-        self._thread: Optional[threading.Thread] = None
-        self._started = threading.Event()
-        self._error: Optional[BaseException] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._stop: Optional[asyncio.Event] = None
-
-    @property
-    def port(self) -> int:
-        assert self.server.port is not None
-        return self.server.port
+        server = CacheServer(self.cache, host, port)
+        super().__init__(lambda: server, "cache server")
+        self.server = server
 
     @property
     def address(self) -> str:
         return f"{self.server.host}:{self.port}"
-
-    def start(self) -> "ThreadedCacheServer":
-        self._thread = threading.Thread(target=self._run, daemon=True,
-                                        name="repro-cache-server")
-        self._thread.start()
-        if not self._started.wait(timeout=30.0):
-            raise ReproError("cache server thread failed to start")
-        if self._error is not None:
-            raise ReproError(
-                f"cache server failed to start: {self._error}") \
-                from self._error
-        return self
-
-    def _run(self) -> None:
-        try:
-            asyncio.run(self._main())
-        except BaseException as exc:
-            self._error = exc
-        finally:
-            self._started.set()
-
-    async def _main(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._stop = asyncio.Event()
-        await self.server.start()
-        self._started.set()
-        await self._stop.wait()
-        await self.server.shutdown()
-
-    def stop(self, timeout_s: float = 30.0) -> None:
-        if self._loop is not None and self._stop is not None:
-            with contextlib.suppress(RuntimeError):
-                self._loop.call_soon_threadsafe(self._stop.set)
-        if self._thread is not None:
-            self._thread.join(timeout_s)
-
-    def __enter__(self) -> "ThreadedCacheServer":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()

@@ -36,20 +36,21 @@ from __future__ import annotations
 
 import asyncio
 import time
-import uuid
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ReproError
 from repro.explore.pareto import OBJECTIVES, pareto_front
 from repro.explore.spec import SweepJob
 from repro.io_json import SCHEMA_VERSION, canonical_dumps
-from repro.obs import HUB, TRACER, extract_headers
+from repro.obs import HUB, TRACER
 from repro.obs.prometheus import render_cluster_metrics
 from repro.service import catalog
-from repro.service.app import (COMPLETED_STATUSES, Handled,
-                               job_response, wants_prometheus)
+from repro.service.app import (COMPLETED_STATUSES, Handled, HttpApp,
+                               deadline_ms, error, job_response,
+                               wait_limit_s)
 from repro.service.jobs import Job, JobStore
+from repro.service.server import BackgroundServer, HttpServer
 from repro.service.metrics import ServiceMetrics
 from repro.cluster.cache_client import ReadThroughCache
 from repro.cluster.http import request_json
@@ -136,18 +137,16 @@ class _Batch:
         self.futures: Dict[str, asyncio.Future] = {}
 
 
-def _error(status: int, message: str, **extra: Any) -> Handled:
-    payload: Dict[str, Any] = {"schema": "repro-service-error/1",
-                               "error": message}
-    payload.update(extra)
-    headers = ({"Retry-After": str(extra["retry_after_s"])}
-               if "retry_after_s" in extra else {})
-    return status, payload, headers
-
-
 # ---------------------------------------------------------------------
-class FrontTier:
+class FrontTier(HttpApp):
     """Routing, batching, and aggregation state for one cluster."""
+
+    span_name = "front.request"
+    span_layer = "front"
+    draining_message = "cluster front tier is draining"
+    render_metrics = staticmethod(render_cluster_metrics)
+    request_counter = "requests"
+    crash_counter = "errors"
 
     def __init__(self, config: ClusterConfig) -> None:
         if not config.shards:
@@ -168,6 +167,8 @@ class FrontTier:
         self._ring_cache: Dict[frozenset, HashRing] = {}
         self._tasks: set = set()
         self._prober: Optional[asyncio.Task] = None
+        self.extra_routes = {
+            "/cluster/ring": lambda: (200, self.ring_payload(), {})}
 
     # -- lifecycle -----------------------------------------------------
     async def start(self) -> None:
@@ -263,7 +264,7 @@ class FrontTier:
             return self.config.proxy_timeout_s
         # The shard itself waits up to 2*deadline + slack; give the
         # proxy hop headroom beyond that so the shard times out first.
-        return (2.0 * deadline_ms + 2000.0) / 1000.0 + 30.0
+        return wait_limit_s(deadline_ms) + 30.0
 
     def _rewrite(self, payload: Dict[str, Any],
                  shard_name: str) -> Dict[str, Any]:
@@ -305,12 +306,12 @@ class FrontTier:
                 owner = self.live_ring().owner(point.key)
             except ReproError as exc:
                 self.metrics.inc("errors")
-                return _error(503, str(exc), retry_after_s=1)
+                return error(503, str(exc), retry_after_s=1)
             if owner in tried:
                 self.metrics.inc("errors")
-                return _error(503,
-                              f"every candidate shard failed for key "
-                              f"{point.key[:12]}...", retry_after_s=1)
+                return error(503,
+                             f"every candidate shard failed for key "
+                             f"{point.key[:12]}...", retry_after_s=1)
             state = self.shards[owner]
             try:
                 status, payload, headers = await self.call_shard(
@@ -412,7 +413,7 @@ class FrontTier:
                 try:
                     owner = self.live_ring().owner(point.key)
                 except ReproError:
-                    self._resolve(batch, point.key, _error(
+                    self._resolve(batch, point.key, error(
                         503, "every shard is down or draining",
                         retry_after_s=1))
                     continue
@@ -423,7 +424,7 @@ class FrontTier:
         except Exception as exc:  # never strand a caller
             self.metrics.inc("errors")
             for key in batch.points:
-                self._resolve(batch, key, _error(
+                self._resolve(batch, key, error(
                     500, f"batch flush failed: {exc}"))
 
     def _resolve(self, batch: _Batch, key: str,
@@ -522,8 +523,7 @@ class FrontTier:
                               deadline_ms: Optional[float]
                               ) -> Tuple[int, Dict[str, Any]]:
         limit = time.monotonic() + (
-            300.0 if deadline_ms is None
-            else (2.0 * deadline_ms + 2000.0) / 1000.0)
+            300.0 if deadline_ms is None else wait_limit_s(deadline_ms))
         while True:
             status, payload, _ = await self.call_shard(
                 state, "GET", f"/v1/jobs/{job_id}", None,
@@ -547,9 +547,7 @@ class FrontTier:
         self._spawn(self._run_split_sweep(composite, body, points,
                                           deadline_ms))
         if wait and not composite.done:
-            limit_s = (None if deadline_ms is None
-                       else (2.0 * deadline_ms + 2000.0) / 1000.0)
-            await composite.wait(limit_s)
+            await composite.wait(wait_limit_s(deadline_ms))
         return ((200 if composite.done else 202),
                 job_response(composite), {})
 
@@ -774,98 +772,48 @@ class FrontTier:
             return 200, payload, {}
         return 503, payload, {"Retry-After": "1"}
 
-    # -- request routing -----------------------------------------------
-    async def handle(self, method: str, path: str,
-                     body: Optional[Dict[str, Any]],
-                     headers: Optional[Dict[str, str]] = None,
-                     query: str = "") -> Handled:
-        if path == "/healthz":
-            if method != "GET":
-                return _error(405, "method not allowed")
-            return self.health()
-        if path == "/metrics":
-            if method != "GET":
-                return _error(405, "method not allowed")
-            payload = await self.build_metrics()
-            if wants_prometheus(headers, query):
-                return 200, render_cluster_metrics(payload), {}
-            return 200, payload, {}
-        if path == "/cluster/ring":
-            if method != "GET":
-                return _error(405, "method not allowed")
-            return 200, self.ring_payload(), {}
-        if path.startswith("/v1/jobs/"):
-            if method != "GET":
-                return _error(405, "method not allowed")
-            self.metrics.inc("requests")
-            return await self._handle_job(path[len("/v1/jobs/"):])
-        if path in ("/v1/synthesize", "/v1/sweep"):
-            if method != "POST":
-                return _error(405, "method not allowed")
-            self.metrics.inc("requests")
-            request_id = uuid.uuid4().hex[:12]
-            # Adopt the caller's trace context (if any) so the whole
-            # cluster hop — front routing, shard admission, worker
-            # solve — lands on one connected trace.
-            with TRACER.attach(extract_headers(headers)), \
-                    TRACER.span("front.request", layer="front",
-                                endpoint=path) as sp:
-                sp.set(request_id=request_id)
-                status, payload, extra = await self._handle_submit(
-                    path, body, sp)
-            extra = dict(extra)
-            extra["X-Repro-Request-Id"] = request_id
-            if sp.sampled:
-                extra["X-Repro-Trace-Id"] = sp.trace_id
-            return status, payload, extra
-        return _error(404, f"no such endpoint {path!r}")
-
-    async def _handle_submit(self, path: str,
-                             body: Optional[Dict[str, Any]],
-                             sp: Any) -> Handled:
-        if self.draining:
-            return _error(503, "cluster front tier is draining",
-                          retry_after_s=1)
-        if body is None:
-            return _error(400, "request body must be a JSON object")
+    # -- HTTP hooks (see HttpApp) --------------------------------------
+    async def submit(self, path: str, body: Dict[str, Any],
+                     sp: Any) -> Handled:
         try:
-            deadline_ms = self._deadline_ms(body)
+            deadline = deadline_ms(body, self.config.default_timeout_ms)
             wait = bool(body.get("wait", True))
             if path == "/v1/synthesize":
                 _space, point = catalog.synthesize_job(body)
                 sp.set(design=str(body.get("design", ""))[:64],
                        key=point.key[:12])
                 return await self.handle_synthesize(
-                    body, point, wait, deadline_ms)
+                    body, point, wait, deadline)
             space, spec, points = catalog.sweep_jobs(body)
             sp.set(design=space.name, points=len(points))
             return await self.handle_sweep(
-                body, space.name, spec, points, wait, deadline_ms)
+                body, space.name, spec, points, wait, deadline)
         except (ReproError, ValueError, TypeError) as exc:
-            return _error(400, str(exc))
+            return error(400, str(exc))
 
-    def _deadline_ms(self, body: Dict[str, Any]) -> Optional[float]:
-        raw = body.get("timeout_ms", self.config.default_timeout_ms)
-        if raw is None:
-            return None
-        deadline = float(raw)
-        if deadline <= 0:
-            raise ReproError(
-                f"timeout_ms must be positive, got {raw!r}")
-        return deadline
-
-    async def _handle_job(self, job_id: str) -> Handled:
+    async def lookup_job(self, job_id: str) -> Handled:
         shard_name, sep, shard_job = job_id.partition(".")
-        if sep and shard_name in self.shards:
-            state = self.shards[shard_name]
-            try:
-                status, payload, _ = await self.call_shard(
-                    state, "GET", f"/v1/jobs/{shard_job}", None,
-                    timeout_s=30.0)
-            except ShardDown as exc:
-                return _error(503, str(exc), retry_after_s=1)
-            return status, self._rewrite(payload, shard_name), {}
-        job = self.store.get(job_id)
-        if job is None:
-            return _error(404, "no such job")
-        return 200, job_response(job), {}
+        if not (sep and shard_name in self.shards):
+            return await super().lookup_job(job_id)
+        state = self.shards[shard_name]
+        try:
+            status, payload, _ = await self.call_shard(
+                state, "GET", f"/v1/jobs/{shard_job}", None,
+                timeout_s=30.0)
+        except ShardDown as exc:
+            return error(503, str(exc), retry_after_s=1)
+        return status, self._rewrite(payload, shard_name), {}
+
+
+class ThreadedFrontTier(BackgroundServer):
+    """Run a front tier in a daemon thread (tests and benchmarks)."""
+
+    def __init__(self, config: ClusterConfig) -> None:
+        super().__init__(lambda: HttpServer(FrontTier(config)),
+                         "front tier")
+        self.config = config
+
+    @property
+    def front(self) -> FrontTier:
+        assert self.server is not None
+        return self.server.app

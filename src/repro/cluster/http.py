@@ -7,7 +7,8 @@ the asyncio mirror of its wire behavior: one connection per exchange
 ``Retry-After`` header surfaced so failover logic can relay it.
 Connection failures raise plain ``OSError``/``asyncio.TimeoutError``
 for the caller to classify — the front tier turns them into
-mark-down-and-failover, not user-facing errors.
+mark-down-and-failover, not user-facing errors.  A truncated body or a
+malformed status line is a connection failure too (``OSError``).
 """
 
 from __future__ import annotations
@@ -72,6 +73,10 @@ async def request_json(host: str, port: int, method: str, path: str,
         writer.write(head.encode("latin-1") + data)
         await writer.drain()
         return await asyncio.wait_for(_read_response(reader), timeout_s)
+    except (asyncio.IncompleteReadError, ValueError) as exc:
+        # A shard that dies mid-answer must look like any other dead
+        # shard, or the caller's failover (and the prober) never sees it.
+        raise OSError(f"bad response from {host}:{port}: {exc}") from exc
     finally:
         try:
             writer.close()

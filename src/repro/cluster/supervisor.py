@@ -20,7 +20,6 @@ never collide; only the front port is user-facing.
 
 from __future__ import annotations
 
-import asyncio
 import os
 import signal
 import socket
@@ -32,9 +31,9 @@ from typing import List, Optional, Tuple
 import repro
 from repro.errors import ReproError
 from repro.cluster.cache_client import CacheClient, CacheClientError
-from repro.cluster.front import ClusterConfig, ShardAddress
-from repro.cluster.server import FrontServer
+from repro.cluster.front import ClusterConfig, FrontTier, ShardAddress
 from repro.service.client import ServiceClient
+from repro.service.server import HttpServer, run_until_signal
 
 
 def free_port(host: str = "127.0.0.1") -> int:
@@ -160,35 +159,27 @@ def serve_cluster(shards: int = 2, host: str = "127.0.0.1",
                            batch_window_ms=batch_window_ms,
                            default_timeout_ms=timeout_ms)
 
-    async def _main() -> None:
-        server = await FrontServer(config).start()
-        stop = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        for sig in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(sig, stop.set)
-            except (NotImplementedError, RuntimeError):
-                pass
-        print(f"repro cluster listening on {config.host}:{server.port} "
-              f"(shards={shards}, workers_per_shard="
-              f"{workers_per_shard}, pool={pool}, "
-              f"cache={host}:{cache_port} "
-              f"[{cache_path or 'memory'}])", flush=True)
-        await stop.wait()
-        print("draining cluster: front first, then shards, then "
-              "cache ...", flush=True)
-        await server.shutdown()
-        counters = server.front.metrics.snapshot()["counters"]
-        print(f"cluster drained cleanly: "
-              f"requests={counters['requests']} "
-              f"proxied={counters['proxied']} "
-              f"batched={counters['batched']} "
-              f"front_coalesced={counters['front_coalesced']} "
-              f"failovers={counters['failovers']}", flush=True)
+    def report(server: HttpServer) -> str:
+        counters = server.app.metrics.snapshot()["counters"]
+        return (f"cluster drained cleanly: "
+                f"requests={counters['requests']} "
+                f"proxied={counters['proxied']} "
+                f"batched={counters['batched']} "
+                f"front_coalesced={counters['front_coalesced']} "
+                f"failovers={counters['failovers']}")
 
     exit_code = 0
     try:
-        asyncio.run(_main())
+        run_until_signal(
+            lambda: HttpServer(FrontTier(config)).start(),
+            lambda server: (
+                f"repro cluster listening on {config.host}:"
+                f"{server.port} (shards={shards}, workers_per_shard="
+                f"{workers_per_shard}, pool={pool}, "
+                f"cache={host}:{cache_port} "
+                f"[{cache_path or 'memory'}])"),
+            report,
+            "draining cluster: front first, then shards, then cache ...")
     finally:
         # Drain in reverse dependency order: shards before the cache
         # server they write through.

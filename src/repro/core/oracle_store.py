@@ -41,6 +41,7 @@ import os
 import threading
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
 
+from repro.appendlog import append_line
 from repro.perf import PERF
 
 #: Store line format version.
@@ -144,21 +145,9 @@ class OracleStore:
     def _append_line(self, entry: Dict[str, Any]) -> None:
         if self.path is None or os.getpid() != self._pid:
             return  # forked children never write the parent's file
-        # Imported here: repro.explore imports the pin checker, which
-        # imports this module.
-        from repro.explore.cache import _ends_mid_line
-
-        line = json.dumps(dict(entry, v=STORE_VERSION),
-                          separators=(",", ":"), sort_keys=True)
-        # Appending straight after a crash-torn last line would weld
-        # this verdict onto the fragment and lose both on reload.
-        if _ends_mid_line(self.path):
-            line = "\n" + line
-        with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(line + "\n")
-            if self.sync:
-                handle.flush()
-                os.fsync(handle.fileno())
+        append_line(self.path, json.dumps(
+            dict(entry, v=STORE_VERSION), separators=(",", ":"),
+            sort_keys=True), sync=self.sync)
 
     # -- entry plumbing ------------------------------------------------
     @staticmethod

@@ -32,6 +32,7 @@ import os
 import threading
 from typing import Any, Dict, Iterator, Optional, Tuple
 
+from repro.appendlog import append_line
 from repro.io_json import canonical_dumps
 
 #: Record line format version.
@@ -43,20 +44,6 @@ REMOTE_SCHEME = "remote://"
 
 #: Statuses worth persisting (see module docstring).
 CACHEABLE_STATUSES = ("ok", "degraded")
-
-
-def _ends_mid_line(path: str) -> bool:
-    """Whether the file exists, is non-empty, and its last byte is
-    not a newline — i.e. the tail is a torn (crash-truncated) line."""
-    try:
-        with open(path, "rb") as handle:
-            handle.seek(0, os.SEEK_END)
-            if handle.tell() == 0:
-                return False
-            handle.seek(-1, os.SEEK_END)
-            return handle.read(1) != b"\n"
-    except OSError:
-        return False
 
 
 class ResultCache:
@@ -129,20 +116,9 @@ class ResultCache:
                 return False
             self._index[key] = stored
             if self.path is not None:
-                line = canonical_dumps(
-                    {"v": CACHE_VERSION, "key": key, "record": stored})
-                # A crash mid-append leaves a torn last line with no
-                # newline; appending straight after it would weld this
-                # record onto the fragment and lose BOTH on reload.
-                # Start on a fresh line so only the torn fragment is
-                # sacrificed (the loader already skips it).
-                if _ends_mid_line(self.path):
-                    line = "\n" + line
-                with open(self.path, "a", encoding="utf-8") as handle:
-                    handle.write(line + "\n")
-                    if self.sync:
-                        handle.flush()
-                        os.fsync(handle.fileno())
+                append_line(self.path, canonical_dumps(
+                    {"v": CACHE_VERSION, "key": key, "record": stored}),
+                    sync=self.sync)
         return True
 
     def items(self) -> Iterator[Tuple[str, Dict[str, Any]]]:

@@ -24,10 +24,8 @@ effort is attributable exactly as in single-process runs.
 
 from __future__ import annotations
 
-import multiprocessing
 import time
-from concurrent.futures import (CancelledError, ProcessPoolExecutor,
-                                as_completed)
+from concurrent.futures import CancelledError, as_completed
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -36,7 +34,7 @@ from repro.explore.cache import ResultCache
 from repro.explore.pareto import (OBJECTIVES, PRUNE_OBJECTIVES,
                                   dominates, pareto_front)
 from repro.explore.spec import SweepJob
-from repro.explore.worker import run_chain, run_job
+from repro.explore.worker import fork_pool, run_chain, run_job
 from repro.obs import HUB, TRACER, inject_payload
 from repro.perf import PERF, PerfRegistry
 from repro.robustness.budget import carve_deadline_ms
@@ -265,13 +263,8 @@ class Executor:
         slice_ms = carve_deadline_ms(
             deadline.remaining_ms(), len(pending),
             workers=self.workers, floor_ms=self.min_job_ms)
-        try:
-            context = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX fallback
-            context = multiprocessing.get_context()
         skip_reason: Dict[int, str] = {}
-        with ProcessPoolExecutor(max_workers=self.workers,
-                                 mp_context=context) as pool:
+        with fork_pool(self.workers) as pool:
             futures = {
                 pool.submit(run_job, inject_payload(
                     job.payload(deadline_ms=slice_ms))):
@@ -355,12 +348,7 @@ class Executor:
         slice_ms = carve_deadline_ms(
             deadline.remaining_ms(), total,
             workers=self.workers, floor_ms=self.min_job_ms)
-        try:
-            context = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX fallback
-            context = multiprocessing.get_context()
-        with ProcessPoolExecutor(max_workers=self.workers,
-                                 mp_context=context) as pool:
+        with fork_pool(self.workers) as pool:
             futures = {}
             for chain in chains:
                 payloads = [inject_payload(

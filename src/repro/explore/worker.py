@@ -16,8 +16,10 @@ cannot take down the sweep.
 
 from __future__ import annotations
 
+import multiprocessing
 import time
 import traceback
+from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.core.flow import SynthesisOptions, synthesize
@@ -37,6 +39,17 @@ TIMINGS: Dict[str, Callable[[], Any]] = {
     "ar": ar_filter_timing,
     "elliptic": elliptic_filter_timing,
 }
+
+
+def fork_pool(workers: int) -> ProcessPoolExecutor:
+    """A process pool whose workers fork where the platform allows, so
+    they are born with the parent's solver stack imported and its
+    active oracle store (the explorer and the service both use it)."""
+    try:
+        context = multiprocessing.get_context("fork")
+    except ValueError:  # pragma: no cover - non-POSIX fallback
+        context = multiprocessing.get_context()
+    return ProcessPoolExecutor(max_workers=workers, mp_context=context)
 
 
 def resolve_timing(name: str):

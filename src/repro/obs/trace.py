@@ -38,6 +38,8 @@ from collections import deque
 from contextlib import contextmanager
 from typing import Any, Deque, Dict, Iterator, List, Optional
 
+from repro.appendlog import ends_mid_line
+
 __all__ = [
     "Span",
     "SpanContext",
@@ -192,7 +194,8 @@ class JsonlExporter:
     until the first sampled span) and in append mode, so several
     processes — cluster front, shards — can share one file: each span
     is a single ``write()`` of one line, which is atomic enough under
-    ``O_APPEND`` for the line sizes involved.
+    ``O_APPEND`` for the line sizes involved.  A crash-torn last line
+    found at open time is closed off first (see :mod:`repro.appendlog`).
     """
 
     def __init__(self, path: str) -> None:
@@ -205,6 +208,8 @@ class JsonlExporter:
                           separators=(",", ":")) + "\n"
         with self._lock:
             if self._handle is None:
+                if ends_mid_line(self.path):  # start past a torn tail
+                    line = "\n" + line
                 self._handle = open(self.path, "a", encoding="utf-8")
             self._handle.write(line)
             self._handle.flush()

@@ -12,11 +12,11 @@ that amortizes warm state across requests:
   :class:`~repro.explore.cache.ResultCache`, and the warm
   :class:`~repro.service.pool.WorkerPool`
   (:mod:`repro.service.app`);
-* :func:`serve` / :class:`ServiceServer` / :class:`ThreadedServer` —
-  the asyncio HTTP front end (``POST /v1/synthesize``,
+* :func:`serve` / :class:`HttpServer` / :class:`ThreadedServer` —
+  the asyncio HTTP layer (``POST /v1/synthesize``,
   ``POST /v1/sweep``, ``GET /v1/jobs/<id>``, ``GET /healthz``,
-  ``GET /metrics``) with graceful SIGTERM drain
-  (:mod:`repro.service.server`);
+  ``GET /metrics``) with graceful SIGTERM drain, shared with the
+  cluster front (:mod:`repro.service.server`);
 * :class:`ServiceClient` — the stdlib client used by tests, CI smoke,
   and the benchmark (:mod:`repro.service.client`).
 
@@ -32,7 +32,9 @@ from repro.service.jobs import (Job, JobStore, ServiceConfig,
                                 ShardIdentity)
 from repro.service.metrics import ServiceMetrics
 from repro.service.pool import WorkerPool
-from repro.service.server import ServiceServer, ThreadedServer, serve
+from repro.service.server import (BackgroundServer, HttpServer,
+                                  ThreadedServer, run_until_signal,
+                                  serve)
 
 __all__ = [
     "ServiceConfig",
@@ -44,7 +46,9 @@ __all__ = [
     "JobStore",
     "ServiceMetrics",
     "WorkerPool",
-    "ServiceServer",
+    "BackgroundServer",
+    "HttpServer",
+    "run_until_signal",
     "ThreadedServer",
     "serve",
     "ServiceClient",

@@ -24,6 +24,11 @@ request lifecycle:
 
 All state transitions happen on the event-loop thread; the pool is the
 only concurrency boundary and crosses it with plain-data records.
+
+:func:`route` is the HTTP routing both serving apps share (the service
+here and :class:`repro.cluster.front.FrontTier`): each subclasses
+:class:`HttpApp` and supplies only its health, metrics, job lookup and
+submit code.
 """
 
 from __future__ import annotations
@@ -32,7 +37,8 @@ import asyncio
 import math
 import time
 import uuid
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (Any, Callable, Dict, List, Optional, Sequence,
+                    Tuple, Union)
 
 from repro.core.oracle_store import OracleStore, activate
 from repro.errors import ReproError
@@ -63,7 +69,173 @@ class ShedRequest(ReproError):
         self.retry_after_s = max(1, int(retry_after_s))
 
 
-class SynthesisService:
+# ---------------------------------------------------------------------
+# Request routing, shared by the service and the cluster front.  A
+# handler returns (HTTP status, payload, extra headers); the payload is
+# normally the JSON document, while a ``str`` payload is a pre-rendered
+# text body (Prometheus exposition) the server sends as text/plain.
+# ---------------------------------------------------------------------
+Handled = Tuple[int, Union[Dict[str, Any], str], Dict[str, str]]
+
+SUBMIT_PATHS = ("/v1/synthesize", "/v1/sweep")
+JOBS_PREFIX = "/v1/jobs/"
+
+
+def wants_prometheus(headers: Optional[Dict[str, str]],
+                     query: str = "") -> bool:
+    """Content negotiation for ``/metrics``: explicit
+    ``?format=prometheus`` / ``?format=json`` wins, else the Accept
+    header decides (JSON stays the default)."""
+    query = query or ""
+    if "format=prometheus" in query:
+        return True
+    if "format=json" in query:
+        return False
+    accept = (headers or {}).get("accept", "")
+    return "text/plain" in accept or "openmetrics" in accept
+
+
+def error(status: int, message: str, **extra: Any) -> Handled:
+    """An error answer; ``retry_after_s`` also sets ``Retry-After``."""
+    payload: Dict[str, Any] = {"schema": "repro-service-error/1",
+                               "error": message}
+    payload.update(extra)
+    headers = ({"Retry-After": str(extra["retry_after_s"])}
+               if "retry_after_s" in extra else {})
+    return status, payload, headers
+
+
+def deadline_ms(body: Dict[str, Any],
+                default_ms: Optional[float]) -> Optional[float]:
+    """The request's ``timeout_ms`` (or the server default), checked."""
+    raw = body.get("timeout_ms", default_ms)
+    if raw is None:
+        return None
+    deadline = float(raw)
+    if deadline <= 0:
+        raise ReproError(f"timeout_ms must be positive, got {raw!r}")
+    return deadline
+
+
+def wait_limit_s(deadline: Optional[float]) -> Optional[float]:
+    """How long a waiting request blocks on its job: twice the job's
+    own budget plus slack, to cover queue wait."""
+    return None if deadline is None else (2.0 * deadline + 2000.0) / 1000.0
+
+
+def job_response(job: Job) -> Dict[str, Any]:
+    """The schema-governed JSON object for a job's current state."""
+    out: Dict[str, Any] = {
+        "schema": RESPONSE_SCHEMA,
+        "schema_version": SCHEMA_VERSION,
+        "job_id": job.id,
+        "kind": job.kind,
+        "status": job.status,
+        "cached": job.cached,
+        "coalesced": job.coalesced,
+        "params": job.params,
+    }
+    if job.key:
+        out["key"] = job.key
+    if not job.done:
+        out["location"] = f"{JOBS_PREFIX}{job.id}"
+        return out
+    record = job.record or {}
+    for name in ("metrics", "stats", "diagnostics", "check", "wall_ms",
+                 "error", "progress", "points", "pareto",
+                 "status_counts"):
+        if name in record:
+            out[name] = record[name]
+    return out
+
+
+async def route(app: "HttpApp", method: str, path: str,
+                body: Optional[Dict[str, Any]],
+                headers: Optional[Dict[str, str]] = None,
+                query: str = "") -> Handled:
+    """Route one parsed request; returns (status, payload, headers).
+
+    ``headers`` are the lowercase request headers (used for trace
+    propagation and /metrics content negotiation); ``query`` is the
+    raw query string.
+    """
+    submit = path in SUBMIT_PATHS
+    if not (submit or path.startswith(JOBS_PREFIX)
+            or path in ("/healthz", "/metrics")
+            or path in app.extra_routes):
+        return error(404, f"no such endpoint {path!r}")
+    if method != ("POST" if submit else "GET"):
+        return error(405, "method not allowed")
+    if path == "/healthz":
+        # Liveness is the TCP answer itself; the status code carries
+        # readiness, so one endpoint serves both probes.
+        return app.health()
+    if path == "/metrics":
+        payload = await app.build_metrics()
+        if wants_prometheus(headers, query):
+            return 200, app.render_metrics(payload), {}
+        return 200, payload, {}
+    if path in app.extra_routes:
+        return app.extra_routes[path]()
+    if app.request_counter:
+        app.metrics.inc(app.request_counter)
+    if not submit:
+        return await app.lookup_job(path[len(JOBS_PREFIX):])
+    # Every submission gets a request id; sampled requests also carry
+    # their trace id back, so client-side failures are correlatable
+    # with server logs and trace exports.  Adopting the caller's trace
+    # context (if any) puts a whole cluster hop — front routing, shard
+    # admission, worker solve — on one connected trace.
+    request_id = uuid.uuid4().hex[:12]
+    with TRACER.attach(extract_headers(headers)), \
+            TRACER.span(app.span_name, layer=app.span_layer,
+                        endpoint=path) as sp:
+        sp.set(request_id=request_id)
+        if app.draining:
+            status, payload, extra = error(503, app.draining_message,
+                                           retry_after_s=1)
+        elif body is None:
+            status, payload, extra = error(
+                400, "request body must be a JSON object")
+        else:
+            status, payload, extra = await app.submit(path, body, sp)
+    extra = dict(extra)
+    extra["X-Repro-Request-Id"] = request_id
+    if sp.sampled:
+        extra["X-Repro-Trace-Id"] = sp.trace_id
+    return status, payload, extra
+
+
+class HttpApp:
+    """What :func:`route` and :class:`repro.service.server.HttpServer`
+    need from an app.  Subclasses provide ``config`` (host, port,
+    max_body_bytes, default_timeout_ms), ``metrics``, ``store`` and
+    ``draining``, plus ``start`` / ``drain``, ``health``,
+    ``build_metrics`` and ``submit``."""
+
+    #: Name and layer of the span each submission runs under.
+    span_name = "service.request"
+    span_layer = "service"
+    draining_message = "service is draining"
+    render_metrics = staticmethod(render_service_metrics)
+    #: Counters bumped per job poll or submission, and per handler
+    #: crash answered with a 500; None counts nothing.
+    request_counter: Optional[str] = None
+    crash_counter: Optional[str] = None
+    #: Extra GET endpoints: path -> handler.
+    extra_routes: Dict[str, Callable[[], Handled]] = {}
+
+    #: ``app.handle(method, path, ...)`` is ``route(app, method, ...)``.
+    handle = route
+
+    async def lookup_job(self, job_id: str) -> Handled:
+        job = self.store.get(job_id)
+        if job is None:
+            return error(404, "no such job")
+        return 200, job_response(job), {}
+
+
+class SynthesisService(HttpApp):
     """Long-running serving state shared by every connection."""
 
     def __init__(self, config: ServiceConfig) -> None:
@@ -292,231 +464,98 @@ class SynthesisService:
         self.pool.shutdown()
         activate(self._previous_oracle)
 
+    # -- HTTP hooks (see HttpApp) --------------------------------------
+    async def start(self) -> None:
+        """Pre-fork the warm pool (before the socket opens)."""
+        self.pool.warmup()
 
-# ---------------------------------------------------------------------
-# Response building
-# ---------------------------------------------------------------------
-def job_response(job: Job) -> Dict[str, Any]:
-    """The schema-governed JSON object for a job's current state."""
-    out: Dict[str, Any] = {
-        "schema": RESPONSE_SCHEMA,
-        "schema_version": SCHEMA_VERSION,
-        "job_id": job.id,
-        "kind": job.kind,
-        "status": job.status,
-        "cached": job.cached,
-        "coalesced": job.coalesced,
-        "params": job.params,
-    }
-    if job.key:
-        out["key"] = job.key
-    if not job.done:
-        out["location"] = f"/v1/jobs/{job.id}"
-        return out
-    record = job.record or {}
-    for name in ("metrics", "stats", "diagnostics", "check", "wall_ms",
-                 "error", "progress", "points", "pareto",
-                 "status_counts"):
-        if name in record:
-            out[name] = record[name]
-    return out
-
-
-def health_payload(service: SynthesisService) -> Dict[str, Any]:
-    if service.draining:
-        status = "draining"
-    elif service.ready:
-        status = "ok"
-    else:
-        status = "warming"
-    out = {
-        "schema": "repro-service-health/1",
-        "status": status,
-        "ready": service.ready,
-        "live": True,
-        "queue_depth": service.queue_depth,
-        "workers": service.pool.workers,
-        "jobs": len(service.store),
-    }
-    if service.config.shard is not None:
-        out["shard"] = service.config.shard.to_dict()
-    return out
-
-
-def metrics_payload(service: SynthesisService) -> Dict[str, Any]:
-    snap = service.metrics.snapshot()
-    snap.update({
-        "queue_depth": service.queue_depth,
-        "inflight": len(service.inflight),
-        "draining": service.draining,
-        "jobs_retained": len(service.store),
-    })
-    # Scrape-time gauges: the hub is the one surface Prometheus (and
-    # the cluster front's auto-scaling aggregation) reads them from.
-    counters = snap.get("counters", {})
-    accepted = counters.get("accepted", 0)
-    HUB.gauges({
-        "service.queue_depth": service.queue_depth,
-        "service.inflight": len(service.inflight),
-        "service.ema_job_ms": snap.get("ema_job_ms", 0.0),
-        "service.cache_hit_ratio": (
-            counters.get("cache_hits", 0) / accepted if accepted
-            else 0.0),
-    })
-    hub = HUB.snapshot()
-    out = {
-        "schema": "repro-service-metrics/1",
-        "service": snap,
-        "workers": {"count": service.pool.workers,
-                    "mode": service.pool.mode},
-        "cache": service.cache.stats(),
-        "oracle": service.oracle.stats(),
-        "perf": service.perf.snapshot(),
-        # Counters/timings stay under "perf"; the hub section carries
-        # only what PerfRegistry cannot: distributions and gauges.
-        "obs": {"histograms": hub["histograms"],
-                "gauges": hub["gauges"]},
-        "tracer": TRACER.stats(),
-    }
-    if service.config.shard is not None:
-        out["shard"] = service.config.shard.to_dict()
-    return out
-
-
-# ---------------------------------------------------------------------
-# Request handlers (HTTP status, payload, extra headers).  The payload
-# is normally the JSON document; a ``str`` payload is a pre-rendered
-# text body (Prometheus exposition) the server sends as text/plain.
-# ---------------------------------------------------------------------
-Handled = Tuple[int, Union[Dict[str, Any], str], Dict[str, str]]
-
-
-def wants_prometheus(headers: Optional[Dict[str, str]],
-                     query: str = "") -> bool:
-    """Content negotiation for ``/metrics``: explicit
-    ``?format=prometheus`` / ``?format=json`` wins, else the Accept
-    header decides (JSON stays the default)."""
-    query = query or ""
-    if "format=prometheus" in query:
-        return True
-    if "format=json" in query:
-        return False
-    accept = (headers or {}).get("accept", "")
-    return "text/plain" in accept or "openmetrics" in accept
-
-
-def _error(status: int, message: str, **extra: Any) -> Handled:
-    payload = {"schema": "repro-service-error/1", "error": message}
-    payload.update(extra)
-    return status, payload, {}
-
-
-def _deadline_ms(body: Dict[str, Any],
-                 config: ServiceConfig) -> Optional[float]:
-    raw = body.get("timeout_ms", config.default_timeout_ms)
-    if raw is None:
-        return None
-    deadline = float(raw)
-    if deadline <= 0:
-        raise ReproError(f"timeout_ms must be positive, got {raw!r}")
-    return deadline
-
-
-async def _respond_job(job: Job, wait: bool,
-                       deadline_ms: Optional[float]) -> Handled:
-    if wait and not job.done:
-        # The job's own budget bounds the solve; double it (plus slack)
-        # to cover queue wait, then fall back to async polling.
-        limit_s = (None if deadline_ms is None
-                   else (2.0 * deadline_ms + 2000.0) / 1000.0)
-        await job.wait(limit_s)
-    status = 200 if job.done else 202
-    return status, job_response(job), {}
-
-
-async def handle_api(service: SynthesisService, method: str, path: str,
-                     body: Optional[Dict[str, Any]],
-                     headers: Optional[Dict[str, str]] = None,
-                     query: str = "") -> Handled:
-    """Route one parsed request; returns (status, payload, headers).
-
-    ``headers`` are the lowercase request headers (used for trace
-    propagation and /metrics content negotiation); ``query`` is the
-    raw query string.  Both default to empty for callers that predate
-    them.
-    """
-    if path == "/healthz":
-        if method != "GET":
-            return _error(405, "method not allowed")
-        # Liveness is the TCP answer itself; the status code carries
-        # readiness, so one endpoint serves both probes.
-        if service.ready:
-            return 200, health_payload(service), {}
-        return 503, health_payload(service), {"Retry-After": "1"}
-    if path == "/metrics":
-        if method != "GET":
-            return _error(405, "method not allowed")
-        payload = metrics_payload(service)
-        if wants_prometheus(headers, query):
-            return 200, render_service_metrics(payload), {}
-        return 200, payload, {}
-    if path.startswith("/v1/jobs/"):
-        if method != "GET":
-            return _error(405, "method not allowed")
-        job = service.store.get(path[len("/v1/jobs/"):])
-        if job is None:
-            return _error(404, "no such job")
-        return 200, job_response(job), {}
-    if path in ("/v1/synthesize", "/v1/sweep"):
-        if method != "POST":
-            return _error(405, "method not allowed")
-        # Every submission gets a request id; sampled requests also
-        # carry their trace id back, so client-side failures are
-        # correlatable with server logs and trace exports.
-        request_id = uuid.uuid4().hex[:12]
-        with TRACER.attach(extract_headers(headers)), \
-                TRACER.span("service.request", layer="service",
-                            endpoint=path) as sp:
-            sp.set(request_id=request_id)
-            status, payload, extra = await _handle_submit(
-                service, path, body, sp)
-        extra = dict(extra)
-        extra["X-Repro-Request-Id"] = request_id
-        if sp.sampled:
-            extra["X-Repro-Trace-Id"] = sp.trace_id
-        return status, payload, extra
-    return _error(404, f"no such endpoint {path!r}")
-
-
-async def _handle_submit(service: SynthesisService, path: str,
-                         body: Optional[Dict[str, Any]],
-                         sp) -> Handled:
-    """The /v1/synthesize | /v1/sweep body, inside the request span."""
-    if service.draining:
-        status, payload, _ = _error(503, "service is draining",
-                                    retry_after_s=1)
-        return status, payload, {"Retry-After": "1"}
-    if body is None:
-        return _error(400, "request body must be a JSON object")
-    try:
-        deadline_ms = _deadline_ms(body, service.config)
-        wait = bool(body.get("wait", True))
-        if path == "/v1/synthesize":
-            _space, point = catalog.synthesize_job(body)
-            job, how = service.submit_point(point, deadline_ms)
-            sp.set(how=how, design=body.get("design"))
+    def health(self) -> Handled:
+        if self.draining:
+            status = "draining"
+        elif self.ready:
+            status = "ok"
         else:
-            space, spec, points = catalog.sweep_jobs(body)
-            job = service.submit_sweep(spec, points, space.name,
-                                       deadline_ms)
-            sp.set(design=space.name, points=len(points))
-        sp.set(job_id=job.id)
-    except ShedRequest as exc:
-        sp.set(shed=True)
-        status, payload, _ = _error(
-            429, str(exc), retry_after_s=exc.retry_after_s)
-        return status, payload, {"Retry-After":
-                                 str(exc.retry_after_s)}
-    except (ReproError, ValueError, TypeError) as exc:
-        return _error(400, str(exc))
-    return await _respond_job(job, wait, deadline_ms)
+            status = "warming"
+        out = {
+            "schema": "repro-service-health/1",
+            "status": status,
+            "ready": self.ready,
+            "live": True,
+            "queue_depth": self.queue_depth,
+            "workers": self.pool.workers,
+            "jobs": len(self.store),
+        }
+        if self.config.shard is not None:
+            out["shard"] = self.config.shard.to_dict()
+        if self.ready:
+            return 200, out, {}
+        return 503, out, {"Retry-After": "1"}
+
+    async def build_metrics(self) -> Dict[str, Any]:
+        snap = self.metrics.snapshot()
+        snap.update({
+            "queue_depth": self.queue_depth,
+            "inflight": len(self.inflight),
+            "draining": self.draining,
+            "jobs_retained": len(self.store),
+        })
+        # Scrape-time gauges: the hub is the one surface Prometheus
+        # (and the cluster front's auto-scaling aggregation) reads
+        # them from.
+        counters = snap.get("counters", {})
+        accepted = counters.get("accepted", 0)
+        HUB.gauges({
+            "service.queue_depth": self.queue_depth,
+            "service.inflight": len(self.inflight),
+            "service.ema_job_ms": snap.get("ema_job_ms", 0.0),
+            "service.cache_hit_ratio": (
+                counters.get("cache_hits", 0) / accepted if accepted
+                else 0.0),
+        })
+        hub = HUB.snapshot()
+        out = {
+            "schema": "repro-service-metrics/1",
+            "service": snap,
+            "workers": {"count": self.pool.workers,
+                        "mode": self.pool.mode},
+            "cache": self.cache.stats(),
+            "oracle": self.oracle.stats(),
+            "perf": self.perf.snapshot(),
+            # Counters/timings stay under "perf"; the hub section
+            # carries only what PerfRegistry cannot: distributions and
+            # gauges.
+            "obs": {"histograms": hub["histograms"],
+                    "gauges": hub["gauges"]},
+            "tracer": TRACER.stats(),
+        }
+        if self.config.shard is not None:
+            out["shard"] = self.config.shard.to_dict()
+        return out
+
+    async def submit(self, path: str, body: Dict[str, Any],
+                     sp: Any) -> Handled:
+        """The /v1/synthesize | /v1/sweep body, inside the request span."""
+        try:
+            deadline = deadline_ms(body, self.config.default_timeout_ms)
+            wait = bool(body.get("wait", True))
+            if path == "/v1/synthesize":
+                _space, point = catalog.synthesize_job(body)
+                job, how = self.submit_point(point, deadline)
+                sp.set(how=how, design=body.get("design"))
+            else:
+                space, spec, points = catalog.sweep_jobs(body)
+                job = self.submit_sweep(spec, points, space.name,
+                                        deadline)
+                sp.set(design=space.name, points=len(points))
+            sp.set(job_id=job.id)
+        except ShedRequest as exc:
+            sp.set(shed=True)
+            return error(429, str(exc), retry_after_s=exc.retry_after_s)
+        except (ReproError, ValueError, TypeError) as exc:
+            return error(400, str(exc))
+        if wait and not job.done:
+            # The job's own budget bounds the solve; double it (plus
+            # slack) to cover queue wait, then fall back to async
+            # polling.
+            await job.wait(wait_limit_s(deadline))
+        return (200 if job.done else 202), job_response(job), {}

@@ -18,14 +18,12 @@ and the process boundary all share one job contract.
 from __future__ import annotations
 
 import asyncio
-import multiprocessing
 import os
-from concurrent.futures import (ProcessPoolExecutor, ThreadPoolExecutor,
-                                wait)
+from concurrent.futures import ThreadPoolExecutor, wait
 from typing import Any, Callable, Dict, Mapping, Optional
 
 from repro.errors import ReproError
-from repro.explore.worker import run_job
+from repro.explore.worker import fork_pool, run_job
 
 
 def _warm_probe() -> int:
@@ -49,12 +47,7 @@ class WorkerPool:
         #: every worker.  ``/healthz`` reports 503 until then.
         self.warmed = False
         if mode == "process":
-            try:
-                context = multiprocessing.get_context("fork")
-            except ValueError:  # pragma: no cover - non-POSIX fallback
-                context = multiprocessing.get_context()
-            self._executor = ProcessPoolExecutor(
-                max_workers=self.workers, mp_context=context)
+            self._executor = fork_pool(self.workers)
         elif mode == "thread":
             self._executor = ThreadPoolExecutor(
                 max_workers=self.workers,

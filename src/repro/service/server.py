@@ -1,18 +1,24 @@
-"""Asyncio HTTP/1.1 front end for the synthesis service.
+"""Asyncio HTTP/1.1 layer and server lifecycle shared by every tier.
 
 Stdlib-only: a small hand-rolled HTTP layer over ``asyncio`` streams
 (request line + headers + ``Content-Length`` body; keep-alive until
 the client closes or says ``Connection: close``), dispatching into
-:func:`repro.service.app.handle_api`.  Three entry points share it:
+``app.handle`` — the synthesis service
+(:class:`repro.service.app.SynthesisService`) and the cluster front
+(:class:`repro.cluster.front.FrontTier`) are both such apps.  The
+pieces:
 
-* :func:`serve` — the blocking ``repro serve`` CLI path, with
-  SIGTERM/SIGINT wired to a graceful drain (stop accepting, finish
-  every in-flight job, shut the warm pool down, exit 0);
-* :class:`ServiceServer` — the async core (start / shutdown) for
-  embedding in an existing loop;
-* :class:`ThreadedServer` — a background-thread harness used by the
-  test suite and the service benchmark (context manager; ``port=0``
+* :class:`HttpServer` — the async core (start / shutdown): it awaits
+  ``app.start()`` before the socket opens and ``app.drain()`` after it
+  closes;
+* :func:`run_until_signal` — the blocking lifecycle behind
+  ``repro serve``, ``repro cache-server`` and ``repro cluster``: open
+  the server, run until SIGTERM/SIGINT, then drain and report;
+* :class:`BackgroundServer` — a daemon-thread harness running any
+  such server on its own event loop (context manager; ``port=0``
   picks a free port, readable as ``.port`` once started).
+  :class:`ThreadedServer` is the service's flavour, used by the test
+  suite and the benchmarks.
 """
 
 from __future__ import annotations
@@ -22,12 +28,12 @@ import contextlib
 import json
 import signal
 import threading
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Awaitable, Callable, Dict, Optional, Tuple
 from urllib.parse import urlsplit
 
 from repro.errors import ReproError
 from repro.obs.prometheus import CONTENT_TYPE as PROM_CONTENT_TYPE
-from repro.service.app import SynthesisService, handle_api
+from repro.service.app import HttpApp, SynthesisService
 from repro.service.jobs import ServiceConfig
 
 _REASONS = {
@@ -104,14 +110,14 @@ async def _write_response(writer: asyncio.StreamWriter, status: int,
     await writer.drain()
 
 
-async def _handle_connection(service: SynthesisService,
+async def _handle_connection(app: HttpApp,
                              reader: asyncio.StreamReader,
                              writer: asyncio.StreamWriter) -> None:
     try:
         while True:
             try:
                 request = await _read_request(
-                    reader, service.config.max_body_bytes)
+                    reader, app.config.max_body_bytes)
             except _HttpError as exc:
                 await _write_response(
                     writer, exc.status,
@@ -133,10 +139,13 @@ async def _handle_connection(service: SynthesisService,
                 except json.JSONDecodeError:
                     body = None
             try:
-                status, payload, extra = await handle_api(
-                    service, method, path, body,
-                    headers=headers, query=query)
+                # Looked up on the instance, so a patched class method
+                # (benchmark instrumentation) runs.
+                status, payload, extra = await app.handle(
+                    method, path, body, headers=headers, query=query)
             except Exception as exc:  # keep the server alive
+                if app.crash_counter:
+                    app.metrics.inc(app.crash_counter)
                 status, payload, extra = 500, {
                     "schema": "repro-service-error/1",
                     "error": f"{type(exc).__name__}: {exc}"}, {}
@@ -159,23 +168,23 @@ async def _handle_connection(service: SynthesisService,
 
 
 # ---------------------------------------------------------------------
-class ServiceServer:
-    """Async core: a warm service plus a listening socket."""
+class HttpServer:
+    """Async core: an HTTP app plus a listening socket."""
 
-    def __init__(self, config: ServiceConfig) -> None:
-        self.config = config
-        self.service = SynthesisService(config)
+    def __init__(self, app: HttpApp) -> None:
+        self.app = app
         self.port: Optional[int] = None
         self._server: Optional[asyncio.base_events.Server] = None
 
-    async def start(self) -> "ServiceServer":
-        # Warm the pool *before* accepting traffic: all forks happen
-        # while this process is still quiet (no threads mid-lock) and
-        # the first request pays no spin-up.
-        self.service.pool.warmup()
+    async def start(self) -> "HttpServer":
+        # The app gets ready *before* the socket opens: the service
+        # warms its pool while this process is still quiet (all forks
+        # happen with no threads mid-lock), and the front runs its
+        # first shard probe so the very first /healthz is real.
+        await self.app.start()
         self._server = await asyncio.start_server(
-            lambda r, w: _handle_connection(self.service, r, w),
-            self.config.host, self.config.port)
+            lambda r, w: _handle_connection(self.app, r, w),
+            self.app.config.host, self.app.config.port)
         self.port = self._server.sockets[0].getsockname()[1]
         return self
 
@@ -184,14 +193,22 @@ class ServiceServer:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        await self.service.drain()
+        await self.app.drain()
 
 
-def serve(config: ServiceConfig) -> int:
-    """Blocking entry point for ``repro serve``; 0 on clean drain."""
+def run_until_signal(open_server: Callable[[], Awaitable[Any]],
+                     banner: Callable[[Any], str],
+                     report: Callable[[Any], str],
+                     draining_line: Optional[str] = None) -> None:
+    """Open a server, serve until SIGTERM/SIGINT, then shut it down.
+
+    ``banner`` and ``report`` render the listening and drained lines
+    from the started server; ``draining_line`` (if any) is printed
+    between the signal and the shutdown.
+    """
 
     async def _main() -> None:
-        server = await ServiceServer(config).start()
+        server = await open_server()
         stop = asyncio.Event()
         loop = asyncio.get_running_loop()
         for sig in (signal.SIGTERM, signal.SIGINT):
@@ -199,30 +216,50 @@ def serve(config: ServiceConfig) -> int:
                 loop.add_signal_handler(sig, stop.set)
             except (NotImplementedError, RuntimeError):
                 pass  # non-main thread or platform without signals
-        print(f"repro service listening on {config.host}:{server.port} "
-              f"(workers={config.workers}, mode={config.pool_mode}, "
-              f"max_queue={config.max_queue}, "
-              f"cache={config.cache_path or 'memory'})", flush=True)
+        print(banner(server), flush=True)
         await stop.wait()
-        print("draining: finishing in-flight jobs ...", flush=True)
+        if draining_line:
+            print(draining_line, flush=True)
         await server.shutdown()
-        counters = server.service.metrics.snapshot()["counters"]
-        print(f"drained cleanly: accepted={counters['accepted']} "
-              f"coalesced={counters['coalesced']} "
-              f"shed={counters['shed']} "
-              f"completed={counters['completed']}", flush=True)
+        print(report(server), flush=True)
 
     asyncio.run(_main())
+
+
+def serve(config: ServiceConfig) -> int:
+    """Blocking entry point for ``repro serve``; 0 on clean drain."""
+
+    def report(server: HttpServer) -> str:
+        counters = server.app.metrics.snapshot()["counters"]
+        return (f"drained cleanly: accepted={counters['accepted']} "
+                f"coalesced={counters['coalesced']} "
+                f"shed={counters['shed']} "
+                f"completed={counters['completed']}")
+
+    run_until_signal(
+        lambda: HttpServer(SynthesisService(config)).start(),
+        lambda server: (
+            f"repro service listening on {config.host}:{server.port} "
+            f"(workers={config.workers}, mode={config.pool_mode}, "
+            f"max_queue={config.max_queue}, "
+            f"cache={config.cache_path or 'memory'})"),
+        report, "draining: finishing in-flight jobs ...")
     return 0
 
 
 # ---------------------------------------------------------------------
-class ThreadedServer:
-    """Run a service in a daemon thread (tests and benchmarks)."""
+class BackgroundServer:
+    """Run a server in a daemon thread (tests and benchmarks).
 
-    def __init__(self, config: ServiceConfig) -> None:
-        self.config = config
-        self.server: Optional[ServiceServer] = None
+    ``make_server`` builds the server inside the thread; it must have
+    ``start()`` (returning itself), ``shutdown()`` and ``.port``.
+    """
+
+    def __init__(self, make_server: Callable[[], Any],
+                 label: str) -> None:
+        self._make_server = make_server
+        self._label = label
+        self.server: Any = None
         self._thread: Optional[threading.Thread] = None
         self._started = threading.Event()
         self._error: Optional[BaseException] = None
@@ -230,25 +267,21 @@ class ThreadedServer:
         self._stop: Optional[asyncio.Event] = None
 
     @property
-    def service(self) -> SynthesisService:
-        assert self.server is not None
-        return self.server.service
-
-    @property
     def port(self) -> int:
         assert self.server is not None and self.server.port is not None
         return self.server.port
 
-    # ------------------------------------------------------------------
-    def start(self) -> "ThreadedServer":
-        self._thread = threading.Thread(target=self._run, daemon=True,
-                                        name="repro-service")
+    def start(self) -> "BackgroundServer":
+        self._thread = threading.Thread(
+            target=self._run, daemon=True,
+            name="repro-" + self._label.replace(" ", "-"))
         self._thread.start()
         if not self._started.wait(timeout=60.0):
-            raise ReproError("service thread failed to start in time")
+            raise ReproError(f"{self._label} thread failed to start "
+                             f"in time")
         if self._error is not None:
             raise ReproError(
-                f"service failed to start: {self._error}") \
+                f"{self._label} failed to start: {self._error}") \
                 from self._error
         return self
 
@@ -263,7 +296,7 @@ class ThreadedServer:
     async def _main(self) -> None:
         self._loop = asyncio.get_running_loop()
         self._stop = asyncio.Event()
-        self.server = await ServiceServer(self.config).start()
+        self.server = await self._make_server().start()
         self._started.set()
         await self._stop.wait()
         await self.server.shutdown()
@@ -276,8 +309,22 @@ class ThreadedServer:
         if self._thread is not None:
             self._thread.join(timeout_s)
 
-    def __enter__(self) -> "ThreadedServer":
+    def __enter__(self):
         return self.start()
 
     def __exit__(self, *exc_info) -> None:
         self.stop()
+
+
+class ThreadedServer(BackgroundServer):
+    """Run a service in a daemon thread (tests and benchmarks)."""
+
+    def __init__(self, config: ServiceConfig) -> None:
+        super().__init__(
+            lambda: HttpServer(SynthesisService(config)), "service")
+        self.config = config
+
+    @property
+    def service(self) -> SynthesisService:
+        assert self.server is not None
+        return self.server.app

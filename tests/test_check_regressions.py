@@ -271,6 +271,106 @@ def test_oracle_store_survives_torn_trailing_line(tmp_path):
 
 
 # ---------------------------------------------------------------------
+# The fuzz corpus, the campaign corpus and the trace export appended
+# straight after a crash-torn last line too, so the next record was
+# welded onto the fragment and lost with it on reload.
+# ---------------------------------------------------------------------
+def _tear(path):
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write('{"seed": 7, "torn": tr')  # no newline
+
+
+def test_fuzz_corpus_append_survives_torn_trailing_line(tmp_path):
+    from types import SimpleNamespace
+
+    from repro.check.fuzz import CaseResult, append_corpus, load_corpus
+
+    path = str(tmp_path / "corpus.jsonl")
+    _tear(path)
+    oracle = SimpleNamespace(outcomes=[], disagreements=[],
+                             checker_gaps=[])
+    append_corpus(path, CaseResult(FuzzCase(seed=11), oracle))
+    assert [case.seed for case in load_corpus(path)] == [11]
+
+
+def test_campaign_corpus_append_survives_torn_trailing_line(tmp_path):
+    from repro.check.campaign import (CampaignCase, CampaignCaseResult,
+                                      append_campaign_corpus,
+                                      load_campaign_corpus)
+
+    path = str(tmp_path / "campaign.jsonl")
+    _tear(path)
+    append_campaign_corpus(path, CampaignCaseResult(
+        CampaignCase(seed=5, design="ar-simple"), ["lost:x"]))
+    assert [case.seed for case in load_campaign_corpus(path)] == [5]
+
+
+def test_trace_export_survives_torn_trailing_line(tmp_path):
+    from repro.obs.render import load_spans
+    from repro.obs.trace import JsonlExporter
+
+    path = str(tmp_path / "trace.jsonl")
+    _tear(path)
+    exporter = JsonlExporter(path)
+    exporter.export({"trace_id": "t1", "span_id": "s1", "name": "a"})
+    exporter.export({"trace_id": "t1", "span_id": "s2", "name": "b"})
+    exporter.close()
+    spans, corrupt = load_spans(path)
+    assert [span["span_id"] for span in spans] == ["s1", "s2"]
+    assert corrupt == 1  # only the fragment is lost
+
+
+# ---------------------------------------------------------------------
+# A shard that closed mid-body (or sent a malformed status line) made
+# request_json raise IncompleteReadError / ValueError instead of the
+# documented OSError: FrontTier.probe raised instead of returning
+# False, call_shard skipped mark-down and failover (the caller got a
+# 500), and the exception ended the background prober for good, so a
+# recovered shard was never brought back.
+# ---------------------------------------------------------------------
+@pytest.mark.parametrize("reply", [
+    b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n{\"st",
+    b"HTTP/1.1 abc OK\r\n\r\n",
+])
+def test_truncated_shard_answer_marks_shard_down(reply):
+    import asyncio
+
+    from repro.cluster import ClusterConfig, FrontTier, ShardAddress
+    from repro.cluster.front import ShardDown
+
+    async def answer(reader, writer):
+        await reader.readline()
+        writer.write(reply)
+        await writer.drain()
+        writer.close()
+
+    async def scenario():
+        listener = await asyncio.start_server(answer, "127.0.0.1", 0)
+        port = listener.sockets[0].getsockname()[1]
+        front = FrontTier(ClusterConfig(
+            shards=(ShardAddress("s0", "127.0.0.1", port),),
+            probe_interval_s=0.01))
+        state = front.shards["s0"]
+        try:
+            assert await front.probe(state) is False
+            state.healthy = True
+            with pytest.raises(ShardDown):
+                await front.call_shard(state, "GET", "/healthz", None)
+            assert state.healthy is False
+            assert front.metrics.snapshot()["counters"][
+                "shard_errors"] == 1
+            await front.start()
+            await asyncio.sleep(0.1)  # several failing probe rounds
+            assert not front._prober.done()
+        finally:
+            await front.drain()
+            listener.close()
+            await listener.wait_closed()
+
+    asyncio.run(scenario())
+
+
+# ---------------------------------------------------------------------
 # Campaign-found (issue 10, fault kind "cache-kill"): write-through
 # puts during a cache-server outage were dropped forever — after the
 # server came back, results this shard solved during the outage never
