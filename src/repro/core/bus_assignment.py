@@ -24,7 +24,7 @@ from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.cdfg.graph import Cdfg, Node
 from repro.cdfg.ops import OpKind
-from repro.core.interconnect import Bus, BusAssignment, Interconnect
+from repro.core.interconnect import BusAssignment, Interconnect
 from repro.errors import BusAssignmentError
 from repro.perf import PERF
 from repro.scheduling.base import Schedule
@@ -33,6 +33,39 @@ from repro.scheduling.base import Schedule
 Position = Tuple[int, int]
 #: One relocation step of a plan.
 Move = Tuple[str, Position]
+
+
+class BusGeometry:
+    """The interconnect's placements, tabulated once per scheduling run.
+
+    The interconnect is fixed while operations are scheduled, so each
+    I/O operation's capable ``(bus, segment)`` positions and the
+    segments each one spans are computed here once, instead of through
+    ``Bus.fitting_segments``/``capable``/``segments_spanned`` on every
+    probe.  Allocators over the same graph and interconnect (the
+    postponement backend makes one per round) can share one instance.
+    """
+
+    def __init__(self, graph: Cdfg, interconnect: Interconnect) -> None:
+        #: bus index -> number of (effective) segments.
+        self.n_segments: Dict[int, int] = {
+            bus.index: len(bus.effective_segments())
+            for bus in interconnect.buses}
+        self.split = any(n > 1 for n in self.n_segments.values())
+        #: op -> {capable position: segments spanned}, in interconnect
+        #: order.
+        self.spans: Dict[str, Dict[Position, Tuple[int, ...]]] = {}
+        #: op -> its capable positions, sorted.
+        self.positions: Dict[str, List[Position]] = {}
+        for node in graph.io_nodes():
+            spans: Dict[Position, Tuple[int, ...]] = {}
+            for bus in interconnect.buses:
+                for segment in bus.fitting_segments(node):
+                    if bus.capable(node, segment):
+                        spans[(bus.index, segment)] = tuple(
+                            bus.segments_spanned(node, segment))
+            self.spans[node.name] = spans
+            self.positions[node.name] = sorted(spans)
 
 
 class BusAllocator:
@@ -44,14 +77,16 @@ class BusAllocator:
                  initial: BusAssignment,
                  initiation_rate: int,
                  reassignment: bool = True,
-                 single_preemption: Optional[bool] = None) -> None:
+                 single_preemption: Optional[bool] = None,
+                 geometry: Optional[BusGeometry] = None) -> None:
         self.graph = graph
         self.interconnect = interconnect
         self.L = initiation_rate
         self.reassignment = reassignment
-        has_split = any(len(b.effective_segments()) > 1
-                        for b in interconnect.buses)
-        self.single_preemption = (has_split if single_preemption is None
+        self.geometry = (BusGeometry(graph, interconnect)
+                         if geometry is None else geometry)
+        self.single_preemption = (self.geometry.split
+                                  if single_preemption is None
                                   else single_preemption)
 
         self.assignment: Dict[str, Position] = {}
@@ -61,6 +96,10 @@ class BusAllocator:
         #: sharing or mutually exclusive conditional transfers.
         self.occupancy: Dict[Tuple[int, int, int],
                              List[Tuple[str, int, str]]] = {}
+        #: bus -> number of its (segment, group) slots in ``occupancy``
+        #: (entries are only ever appended, so every key is occupied).
+        self.occupied: Dict[int, int] = {
+            bus.index: 0 for bus in interconnect.buses}
         self._unscheduled_on: Dict[int, Set[str]] = {
             bus.index: set() for bus in interconnect.buses}
         self._plan_cache: Dict[Tuple[str, int], List[Move]] = {}
@@ -88,19 +127,16 @@ class BusAllocator:
         return out
 
     # -- capacity accounting --------------------------------------------
-    def _capacity(self, bus: Bus) -> int:
-        return self.L * len(bus.effective_segments())
+    def _capacity(self, bus: int) -> int:
+        return self.L * self.geometry.n_segments[bus]
 
-    def _need(self, node: Node, bus: Bus, segment: int) -> int:
-        return len(bus.segments_spanned(node, segment))
+    def _need(self, op: str, position: Position) -> int:
+        return len(self.geometry.spans[op][position])
 
-    def _used(self, bus: Bus, exclude: frozenset = frozenset()) -> int:
-        occupied = sum(1 for (b, _s, _g), entries
-                       in self.occupancy.items()
-                       if b == bus.index and entries)
+    def _used(self, bus: int, exclude: frozenset = frozenset()) -> int:
         demand = 0
         seen_values: Set[str] = set()
-        for op in self._unscheduled_on[bus.index]:
+        for op in self._unscheduled_on[bus]:
             if op in exclude:
                 continue
             node = self.graph.node(op)
@@ -108,20 +144,19 @@ class BusAllocator:
             if key in seen_values:
                 continue
             seen_values.add(key)
-            _bus_index, segment = self.assignment[op]
-            demand += self._need(node, bus, segment)
-        return occupied + demand
+            demand += self._need(op, self.assignment[op])
+        return self.occupied[bus] + demand
 
-    def _spare(self, bus: Bus, exclude: frozenset = frozenset()) -> int:
+    def _spare(self, bus: int, exclude: frozenset = frozenset()) -> int:
         return self._capacity(bus) - self._used(bus, exclude)
 
     # -- position availability -------------------------------------------
-    def _position_free(self, node: Node, bus: Bus, segment: int,
+    def _position_free(self, node: Node, position: Position,
                        step: int) -> bool:
         group = step % self.L
-        for seg in bus.segments_spanned(node, segment):
+        for seg in self.geometry.spans[node.name][position]:
             for value, other_step, other in self.occupancy.get(
-                    (bus.index, seg, group), []):
+                    (position[0], seg, group), []):
                 same_value = (value == (node.value or node.name)
                               and other_step == step)
                 exclusive = (other_step == step
@@ -132,15 +167,14 @@ class BusAllocator:
         return True
 
     def _positions(self, node: Node) -> List[Position]:
-        out: List[Position] = []
+        """Capable positions: the current assignment first, then low
+        indices."""
         current = self.assignment.get(node.name)
-        for bus in self.interconnect.buses:
-            for segment in bus.fitting_segments(node):
-                if bus.capable(node, segment):
-                    out.append((bus.index, segment))
-        # Prefer the current assignment, then low indices.
-        out.sort(key=lambda pos: (pos != current, pos))
-        return out
+        positions = self.geometry.positions[node.name]
+        rest = [pos for pos in positions if pos != current]
+        if len(rest) < len(positions):
+            return [current] + rest
+        return rest
 
     # -- IoHooks -----------------------------------------------------------
     def can_schedule(self, node: Node, step: int,
@@ -177,14 +211,12 @@ class BusAllocator:
         bus is split; unsplit buses are already covered by the
         capacity accounting.
         """
-        if all(len(b.effective_segments()) == 1
-               for b in self.interconnect.buses):
+        if not self.geometry.split:
             return False
-        bus = self.interconnect.bus(position[0])
         added = {}
         group = step % self.L
-        for seg in bus.segments_spanned(node, position[1]):
-            added[(bus.index, seg, group)] = [
+        for seg in self.geometry.spans[node.name][position]:
+            added[(position[0], seg, group)] = [
                 (node.value or node.name, step, node.name)]
         pending = set()
         for ops in self._unscheduled_on.values():
@@ -196,34 +228,31 @@ class BusAllocator:
         return False
 
     def _has_home(self, node: Node, extra_occupancy) -> bool:
-        for bus in self.interconnect.buses:
-            for segment in bus.fitting_segments(node):
-                if not bus.capable(node, segment):
-                    continue
-                for group in range(self.L):
-                    free = True
-                    for seg in bus.segments_spanned(node, segment):
-                        key = (bus.index, seg, group)
-                        entries = list(self.occupancy.get(key, [])) \
-                            + list(extra_occupancy.get(key, []))
-                        for value, _step, other in entries:
-                            if value == (node.value or node.name):
-                                continue
-                            if node.mutually_exclusive_with(
-                                    self.graph.node(other)):
-                                continue
-                            free = False
-                            break
-                        if not free:
-                            break
-                    if free:
-                        return True
+        for (bus, _segment), spanned in \
+                self.geometry.spans[node.name].items():
+            for group in range(self.L):
+                free = True
+                for seg in spanned:
+                    key = (bus, seg, group)
+                    entries = list(self.occupancy.get(key, [])) \
+                        + list(extra_occupancy.get(key, []))
+                    for value, _step, other in entries:
+                        if value == (node.value or node.name):
+                            continue
+                        if node.mutually_exclusive_with(
+                                self.graph.node(other)):
+                            continue
+                        free = False
+                        break
+                    if not free:
+                        break
+                if free:
+                    return True
         return False
 
     def _find_plan(self, node: Node, step: int) -> Optional[List[Move]]:
         current = self.assignment[node.name]
-        bus = self.interconnect.bus(current[0])
-        if self._position_free(node, bus, current[1], step) \
+        if self._position_free(node, current, step) \
                 and not self._strands_someone(node, current, step):
             return [(node.name, current)]
         if not self.reassignment:
@@ -238,13 +267,12 @@ class BusAllocator:
             if position == current:
                 continue
             bus_index = position[0]
-            target = self.interconnect.bus(bus_index)
-            if not self._position_free(node, target, position[1], step):
+            if not self._position_free(node, position, step):
                 continue
             if self._strands_someone(node, position, step):
                 continue
-            need = self._need(node, target, position[1])
-            if self._spare(target, exclude=in_flight) >= need:
+            need = self._need(node.name, position)
+            if self._spare(bus_index, exclude=in_flight) >= need:
                 self.reassignments += 1
                 PERF.inc("bus.reassignments")
                 return [(node.name, position)]
@@ -263,26 +291,25 @@ class BusAllocator:
                                   len(self.interconnect.buses)))
                 if relocation is None:
                     continue
-                freed = self._spare(target, exclude=in_flight) \
-                    + self._victim_demand(victim_node, target)
+                freed = self._spare(bus_index, exclude=in_flight) \
+                    + self._victim_demand(victim_node, bus_index)
                 if freed >= need:
                     self.reassignments += 1
                     PERF.inc("bus.reassignments")
                     return [(node.name, position)] + relocation
         return None
 
-    def _victim_demand(self, victim: Node, bus: Bus) -> int:
-        _b, segment = self.assignment[victim.name]
+    def _victim_demand(self, victim: Node, bus: int) -> int:
         # The victim's demand only frees capacity if no same-value twin
-        # stays behind on the bus.
+        # stays behind on the bus (the victim is assigned to it).
         key = victim.value or victim.name
-        for other in self._unscheduled_on[bus.index]:
+        for other in self._unscheduled_on[bus]:
             if other == victim.name:
                 continue
             other_node = self.graph.node(other)
             if (other_node.value or other) == key:
                 return 0
-        return self._need(victim, bus, segment)
+        return self._need(victim.name, self.assignment[victim.name])
 
     def _relocate(self, victim: Node, visited: Set[int],
                   in_flight: frozenset,
@@ -294,23 +321,21 @@ class BusAllocator:
         are mid-move and release their old capacity.
         """
         for position in self._positions(victim):
-            bus_index, segment = position
+            bus_index = position[0]
             if bus_index in visited:
                 continue
-            target = self.interconnect.bus(bus_index)
-            need = self._need(victim, target, segment)
-            if self._spare(target, exclude=in_flight) >= need:
+            need = self._need(victim.name, position)
+            if self._spare(bus_index, exclude=in_flight) >= need:
                 return [(victim.name, position)]
         if chain_budget <= 0:
             return None
         # Chain: the victim preempts somebody else in turn.
         for position in self._positions(victim):
-            bus_index, segment = position
+            bus_index = position[0]
             if bus_index in visited:
                 continue
             visited.add(bus_index)
-            target = self.interconnect.bus(bus_index)
-            need = self._need(victim, target, segment)
+            need = self._need(victim.name, position)
             for next_victim in sorted(self._unscheduled_on[bus_index]
                                       - set(in_flight)):
                 next_node = self.graph.node(next_victim)
@@ -319,8 +344,8 @@ class BusAllocator:
                                       chain_budget - 1)
                 if tail is None:
                     continue
-                freed = self._spare(target, exclude=in_flight) \
-                    + self._victim_demand(next_node, target)
+                freed = self._spare(bus_index, exclude=in_flight) \
+                    + self._victim_demand(next_node, bus_index)
                 if freed >= need:
                     return [(victim.name, position)] + tail
         return None
@@ -338,12 +363,14 @@ class BusAllocator:
         old_bus = self.assignment[op][0]
         self._unscheduled_on[old_bus].discard(op)
         self.assignment[op] = position
-        bus = self.interconnect.bus(position[0])
+        bus = position[0]
         group = step % self.L
-        for seg in bus.segments_spanned(node, position[1]):
-            entries = self.occupancy.setdefault(
-                (bus.index, seg, group), [])
-            key = (node.value or node.name, step, node.name)
+        key = (node.value or node.name, step, node.name)
+        for seg in self.geometry.spans[op][position]:
+            entries = self.occupancy.get((bus, seg, group))
+            if entries is None:
+                entries = self.occupancy[(bus, seg, group)] = []
+                self.occupied[bus] += 1
             if key not in entries:
                 entries.append(key)
         self.scheduled[op] = step

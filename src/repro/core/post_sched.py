@@ -15,6 +15,7 @@ source (destination) partition can share ``min(B_w1, B_w2)`` output
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
@@ -59,8 +60,14 @@ class PostScheduleConnector:
         self.schedule = schedule
         self.partitioning = partitioning
         self.bidirectional = bidirectional
-        self.wf = dict(weighting or {})
+        self.wf = {partition: Fraction(factor)
+                   for partition, factor in (weighting or {}).items()}
         self.L = schedule.initiation_rate
+        #: Every pair weight is a multiple of 1/_den (wf's common
+        #: denominator); _pair_units memoizes (op1, op2) -> weight * _den
+        #: for the run, so clique weights sum as integers.
+        self._den = math.lcm(*(f.denominator for f in self.wf.values()))
+        self._pair_units: Dict[Tuple[str, str], int] = {}
 
     # ------------------------------------------------------------------
     def run(self) -> Tuple[Interconnect, BusAssignment]:
@@ -132,13 +139,18 @@ class PostScheduleConnector:
         return out
 
     def _clique_weight(self, a: Clique, b: Clique) -> Fraction:
-        total = Fraction(0)
+        units = self._pair_units
+        total = 0
         for op1 in a:
-            n1 = self.graph.node(op1)
             for op2 in b:
-                total += pair_weight(n1, self.graph.node(op2),
-                                     self.bidirectional, self.wf)
-        return total
+                pair = units.get((op1, op2))
+                if pair is None:
+                    weight = pair_weight(self.graph.node(op1),
+                                         self.graph.node(op2),
+                                         self.bidirectional, self.wf)
+                    pair = units[(op1, op2)] = int(weight * self._den)
+                total += pair
+        return Fraction(total, self._den)
 
     # ------------------------------------------------------------------
     def _bus_for(self, index: int, members: Clique) -> Bus:

@@ -9,11 +9,14 @@ operations can share a bus without sharing pins) from a missing edge, so
 zero-weight pairs should still merge when nothing better exists.
 
 The implementation is the classical O(n^3) potentials-plus-shortest-path
-assignment algorithm over exact rationals.
+assignment algorithm.  Rational weights are scaled by their common
+denominator once, so the potentials loop runs on integers; one positive
+factor preserves every comparison it makes.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
@@ -41,24 +44,33 @@ def hungarian_max_weight(left: Sequence[Item],
     # sacrificed just to raise cardinality.
     n = n_left + n_right
 
-    # Scale: cost = -(w * (n + 1) + 1) for edges so that total weight
-    # dominates and each extra edge is worth a tie-break unit; dummies
-    # cost 0 (i.e. "leave unmatched").
-    big = Fraction(0)
-    costs: List[List[Optional[Fraction]]] = []
+    weights: List[List[Optional[Fraction]]] = [
+        [None if w is None else Fraction(w)
+         for w in (weight(u, v) for v in right)] for u in left]
+    den = math.lcm(*(w.denominator for row in weights for w in row
+                     if w is not None))
+
+    # Scale: cost = -(w * den * (n + 1) + 1) for edges, an integer.
+    # Weights differ by at least 1/den, worth n + 1 units, while a
+    # matching has at most n edges of one tie-break unit each: total
+    # weight dominates, cardinality breaks ties.  Dummies cost 0
+    # (i.e. "leave unmatched").
+    big = 0
+    costs: List[List[Optional[int]]] = []
     for i in range(n):
-        row: List[Optional[Fraction]] = []
+        row: List[Optional[int]] = []
         for j in range(n):
             if i < n_left and j < n_right:
-                w = weight(left[i], right[j])
+                w = weights[i][j]
                 if w is None:
                     row.append(None)
                 else:
-                    value = -(Fraction(w) * (n + 1) + 1)
+                    value = -(w.numerator * (den // w.denominator)
+                              * (n + 1) + 1)
                     big = max(big, -value)
                     row.append(value)
             else:
-                row.append(Fraction(0))  # dummy pairing = unmatched
+                row.append(0)  # dummy pairing = unmatched
         costs.append(row)
     forbid = big * _FORBID_SCALE * (n + 1) + n + 1
     matrix = [[forbid if c is None else c for c in row] for row in costs]
@@ -72,34 +84,35 @@ def hungarian_max_weight(left: Sequence[Item],
     return result
 
 
-def _assignment_min_cost(a: List[List[Fraction]]) -> List[int]:
+def _assignment_min_cost(a: List[List[int]]) -> List[int]:
     """Square min-cost assignment; returns column of each row.
 
     Classical potentials formulation (rows 1..n assigned one at a time,
     augmenting along a shortest path in the equality graph).
     """
     n = len(a)
-    INF = None  # represented by None; compare helper below
 
-    u = [Fraction(0)] * (n + 1)
-    v = [Fraction(0)] * (n + 1)
+    u = [0] * (n + 1)
+    v = [0] * (n + 1)
     p = [0] * (n + 1)      # p[j] = row matched to column j (1-based)
     way = [0] * (n + 1)
 
     for i in range(1, n + 1):
         p[0] = i
         j0 = 0
-        minv: List[Optional[Fraction]] = [None] * (n + 1)
+        minv: List[Optional[int]] = [None] * (n + 1)  # None = infinity
         used = [False] * (n + 1)
         while True:
             used[j0] = True
             i0 = p[j0]
-            delta: Optional[Fraction] = None
+            row = a[i0 - 1]
+            u_i0 = u[i0]
+            delta: Optional[int] = None
             j1 = -1
             for j in range(1, n + 1):
                 if used[j]:
                     continue
-                cur = a[i0 - 1][j - 1] - u[i0] - v[j]
+                cur = row[j - 1] - u_i0 - v[j]
                 if minv[j] is None or cur < minv[j]:
                     minv[j] = cur
                     way[j] = j0

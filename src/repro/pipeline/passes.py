@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import List, Protocol
 
 from repro.cdfg.validate import validate_cdfg
-from repro.core.bus_assignment import BusAllocator
+from repro.core.bus_assignment import BusAllocator, BusGeometry
 from repro.core.connection_search import ConnectionSearch
 from repro.core.pin_allocation import PinAllocationChecker
 from repro.core.post_sched import PostScheduleConnector
@@ -239,6 +239,8 @@ class ScheduleBusAllocated:
     :class:`BusAllocator` hooks over the searched interconnect; the
     postponement backend consumes several across its rounds, the
     others exactly one.  The last allocator's assignment is final.
+    The interconnect is fixed while scheduling, so the allocators
+    share one :class:`BusGeometry` table.
     """
 
     name = "schedule"
@@ -248,12 +250,14 @@ class ScheduleBusAllocated:
         opts = ctx.options
         created: List[BusAllocator] = []
         fresh_copy = backend.name == "postpone"
+        geometry = BusGeometry(ctx.graph, ctx.interconnect)
 
         def hooks_factory():
             initial = ctx.initial.copy() if fresh_copy else ctx.initial
             allocator = BusAllocator(ctx.graph, ctx.interconnect,
                                      initial, ctx.initiation_rate,
-                                     reassignment=opts.reassignment)
+                                     reassignment=opts.reassignment,
+                                     geometry=geometry)
             created.append(allocator)
             return allocator
 

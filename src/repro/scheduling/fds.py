@@ -35,7 +35,8 @@ class ForceDirectedScheduler:
     Cost model: one placement prices every free operation at every step
     of its frame.  What does not change during a run is tabulated in
     ``__init__`` (cycles, distribution-graph entries and neighbour gaps
-    per node, occupied groups per (cycles, step mod L)); what does not
+    per node, occupied groups per (cycles, step mod L)) or memoized for
+    the run (the mass spread over a step range, per cycles); what does not
     change during one placement (a node's probability mass, a
     neighbour's restriction force) is memoized and cleared when the
     next placement starts.  Every force still adds its terms in the
@@ -85,6 +86,8 @@ class ForceDirectedScheduler:
                 (edge.dst, 0 if chaining else self._cycles[node.name])
                 for edge in graph.out_edges(node.name)
                 if not edge.is_recursive() and edge.dst in self._cycles]
+        #: (cycles, lo, hi) -> per-group mass; depends on nothing else.
+        self._masses: Dict[Tuple[int, int, int], Dict[int, float]] = {}
 
         # Per-placement memos (frames, ``fixed`` and dgs are constant
         # within one placement).
@@ -187,13 +190,19 @@ class ForceDirectedScheduler:
         return mass
 
     def _mass(self, name: str, lo: int, hi: int) -> Dict[int, float]:
-        """Per-group mass of ``name`` spread evenly over ``[lo, hi]``."""
-        groups = self._groups[self._cycles[name]]
+        """Per-group mass of ``name`` spread evenly over ``[lo, hi]``
+        (memoized for the run; callers must not mutate it)."""
+        cycles = self._cycles[name]
+        mass = self._masses.get((cycles, lo, hi))
+        if mass is not None:
+            return mass
+        groups = self._groups[cycles]
         prob = 1.0 / (hi - lo + 1)
-        mass: Dict[int, float] = {}
+        mass = {}
         for step in range(lo, hi + 1):
             for group in groups[step % self.L]:
                 mass[group] = mass.get(group, 0.0) + prob
+        self._masses[(cycles, lo, hi)] = mass
         return mass
 
     def _force(self, name: str, old: Dict[int, float],

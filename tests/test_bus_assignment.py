@@ -4,7 +4,7 @@ import pytest
 
 from repro.cdfg import Cdfg
 from repro.cdfg.graph import make_io_node
-from repro.core.bus_assignment import BusAllocator
+from repro.core.bus_assignment import BusAllocator, BusGeometry
 from repro.core.interconnect import Bus, BusAssignment, Interconnect
 from repro.errors import BusAssignmentError
 from repro.modules.library import ar_filter_timing
@@ -146,3 +146,71 @@ class TestSubBusAllocation:
         alloc.commit(g.node("wide"), 0, schedule)
         assert not alloc.can_schedule(g.node("small1"), 0, schedule)
         assert alloc.can_schedule(g.node("small1"), 1, schedule)
+
+
+def _ar_general_searched(rate, subbus_sharing):
+    from repro.core.connection_search import ConnectionSearch
+    from repro.core.subbus import SubBusConnectionSearch
+    from repro.designs import AR_GENERAL_PINS_BIDIR, ar_general_design
+    graph = ar_general_design()
+    search = SubBusConnectionSearch if subbus_sharing else ConnectionSearch
+    interconnect, _initial = search(graph, AR_GENERAL_PINS_BIDIR,
+                                    rate).run()
+    return graph, interconnect
+
+
+class TestBusGeometry:
+    """The per-run table agrees with the Bus methods it replaces."""
+
+    @pytest.mark.parametrize("setup, split", [
+        ("figure_4_4", False), ("split_bus", True),
+        ("ar_general", False), ("ar_general_subbus", True)])
+    def test_positions_and_spans_match_recomputation(self, setup, split):
+        if setup == "figure_4_4":
+            g, ic, _initial = two_bus_setup()
+        elif setup == "split_bus":
+            g, ic, _initial = TestSubBusAllocation().split_setup()
+        else:
+            g, ic = _ar_general_searched(5, setup == "ar_general_subbus")
+        assert any(len(b.effective_segments()) > 1
+                   for b in ic.buses) == split
+        geometry = BusGeometry(g, ic)
+        assert geometry.split == split
+        for node in g.io_nodes():
+            expected = {}
+            for bus in ic.buses:
+                for segment in range(len(bus.effective_segments())):
+                    if segment in bus.fitting_segments(node) \
+                            and bus.capable(node, segment):
+                        expected[(bus.index, segment)] = tuple(
+                            bus.segments_spanned(node, segment))
+            assert geometry.spans[node.name] == expected
+            assert geometry.positions[node.name] == sorted(expected)
+
+    @pytest.mark.parametrize("rate, subbus_sharing",
+                             [(3, False), (5, True)])
+    def test_occupied_count_equals_rescan(self, monkeypatch, rate,
+                                          subbus_sharing):
+        from repro.core.flow import synthesize
+        from repro.designs import AR_GENERAL_PINS_BIDIR, ar_general_design
+        allocators, commits = [], []
+        commit = BusAllocator.commit
+
+        def checked_commit(self, node, step, schedule):
+            commit(self, node, step, schedule)
+            allocators.append(self)
+            rescan = {bus.index: 0 for bus in self.interconnect.buses}
+            for (bus, _seg, _group), entries in self.occupancy.items():
+                if entries:
+                    rescan[bus] += 1
+            commits.append(rescan == self.occupied)
+
+        monkeypatch.setattr(BusAllocator, "commit", checked_commit)
+        result = synthesize(ar_general_design(), AR_GENERAL_PINS_BIDIR,
+                            ar_filter_timing(), rate,
+                            flow="connection-first",
+                            subbus_sharing=subbus_sharing)
+        assert result.verify() == []
+        assert commits and all(commits)
+        assert allocators[-1].reassignments > 0
+        assert allocators[-1].geometry.split == subbus_sharing

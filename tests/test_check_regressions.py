@@ -6,6 +6,7 @@ silently rot.
 """
 
 import threading
+from fractions import Fraction
 
 import pytest
 
@@ -18,6 +19,7 @@ from repro.core.oracle_store import OracleStore
 from repro.designs.random_designs import random_partitioned_design
 from repro.errors import ReproError, SchedulingError
 from repro.explore.cache import ResultCache
+from repro.graphs import hungarian_max_weight
 from repro.modules.library import (DesignTiming, HardwareModule, ModuleSet,
                                    ar_filter_timing)
 from repro.partition.model import ChipSpec, Partitioning
@@ -461,3 +463,17 @@ def test_fds_legalizer_refuses_disallowed_io_step():
         b.build(), _minor_clock_timing(60.0, chaining=True), 2, 6)
     with pytest.raises(SchedulingError, match="minor clock"):
         scheduler._legalize({"a1": 1, "a2": 1, "x": 2})
+
+
+# ---------------------------------------------------------------------
+# Bug: hungarian_max_weight scaled weights by (n + 1) before adding the
+# one-edge tie-break unit, which only keeps weight ahead of cardinality
+# for integer weights.  With weights in tenths, two zero-weight edges
+# (a->y, b->x) beat one edge of weight 1/10 (a->x).
+# ---------------------------------------------------------------------
+def test_hungarian_weight_beats_cardinality_with_fractional_weights():
+    weights = {("a", "x"): Fraction(1, 10), ("a", "y"): Fraction(0),
+               ("b", "x"): Fraction(0)}
+    result = hungarian_max_weight(["a", "b"], ["x", "y"],
+                                  lambda u, v: weights.get((u, v)))
+    assert result == {"a": "x"}

@@ -1,5 +1,6 @@
 """Tests for the matching and compatibility-graph substrate."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -104,6 +105,38 @@ class TestHungarian:
 
     def test_empty_inputs(self):
         assert hungarian_max_weight([], ["x"], lambda u, v: None) == {}
+
+    @staticmethod
+    def _best(left, right, weights):
+        """Brute force: the largest (total weight, cardinality)."""
+        best = (Fraction(0), 0)
+        stack = [(0, frozenset(), Fraction(0), 0)]
+        while stack:
+            i, taken, total, size = stack.pop()
+            if i == len(left):
+                best = max(best, (total, size))
+                continue
+            stack.append((i + 1, taken, total, size))
+            for v in right:
+                w = weights.get((left[i], v))
+                if w is not None and v not in taken:
+                    stack.append((i + 1, taken | {v}, total + w, size + 1))
+        return best
+
+    @pytest.mark.parametrize("denominator", [1, 3, 10])
+    def test_matches_brute_force(self, denominator):
+        rng = random.Random(f"hungarian:{denominator}")
+        for _ in range(60):
+            left = [f"l{i}" for i in range(rng.randint(1, 4))]
+            right = [f"r{j}" for j in range(rng.randint(1, 4))]
+            weights = {(u, v): Fraction(rng.randint(0, 6), denominator)
+                       for u in left for v in right if rng.random() < 0.7}
+            result = hungarian_max_weight(left, right,
+                                          lambda u, v: weights.get((u, v)))
+            assert len(set(result.values())) == len(result)
+            total = sum((weights[(u, v)] for u, v in result.items()),
+                        Fraction(0))
+            assert (total, len(result)) == self._best(left, right, weights)
 
 
 class TestCompatibilityGraph:

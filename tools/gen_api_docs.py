@@ -6,10 +6,14 @@ points), pulls signatures and first docstring paragraphs, and writes a
 browsable reference.  Run after API changes:
 
     python tools/gen_api_docs.py
+
+``--check`` writes nothing and exits 1 when docs/api.md differs from
+what would be generated.
 """
 
 from __future__ import annotations
 
+import argparse
 import importlib
 import inspect
 import pathlib
@@ -91,11 +95,26 @@ def first_paragraph(obj) -> str:
     return doc.split("\n\n")[0].replace("\n", " ").strip()
 
 
+class _Named:
+    """Renders as a bare name (a callable default's ``__qualname__``,
+    not its ``<function ... at 0x...>`` repr, which changes per run)."""
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+
+    def __repr__(self) -> str:
+        return self.name
+
+
 def signature_of(obj) -> str:
     try:
-        return str(inspect.signature(obj))
+        signature = inspect.signature(obj)
     except (TypeError, ValueError):
         return ""
+    params = [param.replace(default=_Named(param.default.__qualname__))
+              if inspect.isroutine(param.default) else param
+              for param in signature.parameters.values()]
+    return str(signature.replace(parameters=params))
 
 
 def describe(module) -> list:
@@ -127,7 +146,11 @@ def describe(module) -> list:
     return lines
 
 
-def main() -> None:
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--check", action="store_true",
+                        help="exit 1 if docs/api.md is out of date")
+    args = parser.parse_args(argv)
     out = ["# API reference",
            "",
            "Generated by `tools/gen_api_docs.py` — do not edit by "
@@ -146,9 +169,18 @@ def main() -> None:
         out.extend(describe(module))
         out.append("")
     target = pathlib.Path(__file__).parent.parent / "docs" / "api.md"
-    target.write_text("\n".join(out) + "\n")
+    text = "\n".join(out) + "\n"
+    if args.check:
+        if not target.exists() or target.read_text() != text:
+            print(f"{target} is out of date; run tools/gen_api_docs.py",
+                  file=sys.stderr)
+            return 1
+        print(f"{target} is up to date")
+        return 0
+    target.write_text(text)
     print(f"wrote {target} ({len(out)} blocks)")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
